@@ -24,7 +24,7 @@ from multiprocessing import Pool
 from .geometry import RationalPolytope, rat_str
 from .invariants import degree, fano_index, k_verdict, picard_rank
 from .registry import RANK0_TABLE, build, families, params_key, symmetry_group
-from .search import EnumConfig, canonical_form, enumerate_polytopes
+from .search import EnumConfig, InvalidConfig, canonical_form, enumerate_polytopes
 
 
 class MappingConflict(RuntimeError):
@@ -65,9 +65,17 @@ class Catalog:
         return len(self.records)
 
 
+# the walk's successor graph holds a bit per ordered pair of candidates, so
+# its size and build time grow with the fourth power of the box
+MAX_BOX = 10
+
+
 def default_config() -> EnumConfig:
-    box = int(os.environ.get("SPHFANO_BOX", "5"))
-    return EnumConfig(box_bound=box)
+    """The search bounds, with the box taken from SPHFANO_BOX when set."""
+    text = os.environ.get("SPHFANO_BOX", "5")
+    if not text.strip().isdigit() or not 2 <= int(text) <= MAX_BOX:
+        raise InvalidConfig(f"SPHFANO_BOX must be an integer in 2..{MAX_BOX}, got {text!r}")
+    return EnumConfig(box_bound=int(text))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +173,7 @@ def build_catalog(dims=None, ranks=None, cfg=None, jobs=1, warn=None) -> Catalog
 
     if jobs > 1:
         with Pool(jobs) as pool:
-            results = pool.map(_job, jobs_list)
+            results = pool.map(_job, jobs_list, chunksize=1)
     else:
         results = [_job(j) for j in jobs_list]
 

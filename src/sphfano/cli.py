@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
-assertion (search box too tight, non-integral degree, rank-deficient
-relations).
+assertion (search box too tight, a canonical-form assumption broken,
+non-integral degree, rank-deficient relations).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .core import check_reflexive
 from .geometry import RationalPolytope, convex_hull, parse_vec, rat_str
 from .invariants import all_invariants
 from .registry import ParamsOutOfDomain, UnknownFamily, build, families, registry_json
-from .search import BoundTooTight, enumerate_polytopes, canonical_form
+from .search import BoundTooTight, CanonicalFormError, enumerate_polytopes, canonical_form
 from .registry import symmetry_group
 
 
@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     except (UnknownFamily, ParamsOutOfDomain, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BoundTooTight, AssertionError) as exc:
+    except (BoundTooTight, CanonicalFormError, AssertionError) as exc:
         print(f"internal assertion: {exc}", file=sys.stderr)
         return 3
 

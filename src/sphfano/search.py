@@ -3,7 +3,10 @@
 Rank 1 is a finite check over candidate endpoint pairs.  Rank 2 is a
 depth-first walk over strictly counterclockwise vertex sequences around the
 origin, drawn from the integer points of a search box together with the
-color points, pruned facet-by-facet and certified afterwards: no accepted
+color points.  The walk runs in integer arithmetic on a successor graph of
+the candidates, with each pairwise test made once and the half-plane tests
+as bitmasks (`_SuccessorGraph`); only closed cycles become polytopes for the
+reflexivity check.  The result is certified afterwards: no accepted
 polytope may touch the box, so enlarging the box provably changes nothing.
 
 Accepted polytopes are reduced modulo the family's admissible symmetry group
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as math_gcd
+from math import gcd as math_gcd, lcm
 
 from .core import (
     BOUNDARY,
@@ -43,17 +46,28 @@ class NotReflexive(ValueError):
     pass
 
 
+class InvalidConfig(ValueError):
+    """Search bounds outside the admitted range."""
+
+
+class CanonicalFormError(RuntimeError):
+    """A polytope or group breaks an assumption the canonical form relies on."""
+
+
 @dataclass(frozen=True)
 class EnumConfig:
     box_bound: int = 5
     max_vertices: int = 8
 
     def __post_init__(self):
-        # tiny boxes are admitted for oracle runs; production configs must
-        # satisfy box_bound >= 4 and max_vertices >= 6 (asserted by the
-        # catalog builder): the largest published polygon is a hexagon and
-        # the largest vertex coordinate is 3
-        assert self.box_bound >= 2 and self.max_vertices >= 3
+        # tiny boxes are admitted for oracle and certificate runs: a box too
+        # small for a family surfaces as BoundTooTight after the walk.  The
+        # default leaves room, as the largest published polygon is a hexagon
+        # and the largest canonical vertex coordinate is 3
+        if self.box_bound < 2 or self.max_vertices < 3:
+            raise InvalidConfig(
+                f"need box_bound >= 2 and max_vertices >= 3, got {self.box_bound}, {self.max_vertices}"
+            )
 
 
 @dataclass(frozen=True)
@@ -76,7 +90,8 @@ def _store_key(P: RationalPolytope):
 def _full_unimodular_candidates(P: RationalPolytope):
     """All reduced positions of an integral polygon whose facets carry lattice
     bases: map each ordered edge pair to the standard basis, mirrors included."""
-    assert all(c.denominator == 1 for v in P.vertices for c in v)
+    if any(c.denominator != 1 for v in P.vertices for c in v):
+        raise CanonicalFormError("full unimodular families have integral polytopes")
     k = len(P.vertices)
     mirrored = transform_polytope(((1, 0), (0, -1)), P)
     for Q in (P, mirrored):
@@ -113,7 +128,8 @@ def canonical_form(
         stab = sum(1 for Q in cands if Q == P)
         return CanonicalPolytope(best, max(1, stab))
     if group.kind == SHEAR:
-        assert tuple(group.fixed_vector) == (1, 0), "shear families fix (1,0)"
+        if tuple(group.fixed_vector) != (1, 0):
+            raise CanonicalFormError("shear families fix (1,0)")
         # The x-axis is fixed pointwise, so plain lexicographic minimization
         # diverges under k -> -inf.  Instead reduce each sign candidate by the
         # unique shear putting the leftmost top vertex into [0, h) where h is
@@ -127,7 +143,8 @@ def canonical_form(
         for s in signs:
             Q = transform_polytope(((1, 0), (0, s)), P)
             h = max(v[1] for v in Q.vertices)
-            assert h.denominator == 1 and h > 0
+            if h.denominator != 1 or h <= 0:
+                raise CanonicalFormError(f"shear family polytope of height {h}")
             xt = min(v[0] for v in Q.vertices if v[1] == h)
             k = -(int(xt) // int(h))
             cands.append(transform_polytope(((1, k), (0, 1)), Q))
@@ -231,6 +248,80 @@ def _edge_ok(data, colors_pts, v, w) -> bool:
     return is_lattice_basis(basis)
 
 
+class _SuccessorGraph:
+    """The candidates as scaled integer points, with the walk's pairwise tests.
+
+    Candidate i keeps its index in the lexicographic order of the rational
+    points; scaling by the lcm of the denominators preserves that order.
+    `succ[i]` is the bitmask of the successors j: the origin lies strictly
+    left of i -> j (cross(v_i, v_j) > 0) and the edge passes `_edge_ok`,
+    evaluated once per ordered pair.  `left(i, j)` is the bitmask of the
+    candidates strictly left of the line i -> j.
+    """
+
+    def __init__(self, data: CombinatorialData, cands):
+        scale = 1
+        for q in cands:
+            for c in q:
+                scale = lcm(scale, c.denominator)
+        self.pts = pts = [(int(x * scale), int(y * scale)) for x, y in cands]
+        colors_pts = list(zip(data.colors, data.color_points()))
+        self.succ = []
+        for i, (xi, yi) in enumerate(pts):
+            mask = 0
+            for j, (xj, yj) in enumerate(pts):
+                if xi * yj - yi * xj > 0 and _edge_ok(data, colors_pts, cands[i], cands[j]):
+                    mask |= 1 << j
+            self.succ.append(mask)
+        self._left = {}
+
+    def left(self, i, j):
+        mask = self._left.get((i, j))
+        if mask is None:
+            (xi, yi), (xj, yj) = self.pts[i], self.pts[j]
+            dx, dy = xj - xi, yj - yi
+            c = dx * yi - dy * xi
+            mask = 0
+            for k, (x, y) in enumerate(self.pts):
+                if dx * y - dy * x > c:
+                    mask |= 1 << k
+            self._left[(i, j)] = mask
+        return mask
+
+
+def _closable_cycles(g: _SuccessorGraph, seq, allowed, inner, max_vertices):
+    """Every closable extension of the vertex sequence seq, depth first.
+
+    `allowed` is the mask of candidates strictly left of every committed edge
+    and after seq[0] in lexicographic order, so seq[0] stays the minimum; it
+    subsumes the turn test and excludes every vertex of seq, each of which lies
+    on a committed edge.  `inner` is the mask of seq[:-1].  The walk yields seq
+    itself (mutated afterwards) whenever the edge seq[-1] -> seq[0] closes it
+    into a strictly convex counterclockwise polygon around the origin.
+    """
+    last, first = seq[-1], seq[0]
+    if (
+        len(seq) >= 3
+        and g.succ[last] >> first & 1
+        and g.left(seq[-2], last) >> first & 1
+        and not (inner ^ (1 << first)) & ~g.left(last, first)
+    ):
+        yield seq
+    if len(seq) >= max_vertices:
+        return
+    cand = allowed & g.succ[last]
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        j = low.bit_length() - 1
+        edge = g.left(last, j)
+        if inner & ~edge:  # an earlier vertex not strictly left of last -> j
+            continue
+        seq.append(j)
+        yield from _closable_cycles(g, seq, allowed & edge, inner | (1 << last), max_vertices)
+        seq.pop()
+
+
 def enumerate_rank2(
     data: CombinatorialData,
     cfg: EnumConfig | None = None,
@@ -245,75 +336,14 @@ def enumerate_rank2(
     if group is None:
         group = symmetry_group(fid, params)
     cands = _candidate_points(data, cfg)
-    colors_pts = list(zip(data.colors, data.color_points()))
+    g = _SuccessorGraph(data, cands)
     accepted = []
-
-    # counterclockwise boundary keeps the interior (and the origin) on the
-    # left of every directed edge: cross(edge, p - start) > 0 for interior p
-    def close_and_check(seq):
-        if len(seq) < 3:
-            return
-        v_last, v0 = seq[-1], seq[0]
-        if _cross(v_last, v0) <= 0:
-            return
-        d_close = (v0[0] - v_last[0], v0[1] - v_last[1])
-        d_prev = (v_last[0] - seq[-2][0], v_last[1] - seq[-2][1])
-        d_first = (seq[1][0] - v0[0], seq[1][1] - v0[1])
-        if _cross(d_prev, d_close) <= 0 or _cross(d_close, d_first) <= 0:
-            return
-        if _cross(d_close, (-v_last[0], -v_last[1])) <= 0:
-            return
-        for p in seq[1:-1]:
-            if _cross(d_close, (p[0] - v_last[0], p[1] - v_last[1])) <= 0:
-                return
-        if not _edge_ok(data, colors_pts, v_last, v0):
-            return
-        P = RationalPolytope(2, vertices_ccw_store(seq))
-        if check_reflexive(data, P).ok:
-            accepted.append(P)
-
-    def extend(seq, edges):
-        close_and_check(seq)
-        if len(seq) >= cfg.max_vertices:
-            return
-        v_prev = seq[-1]
-        for w in cands:
-            if w <= seq[0]:  # keep seq[0] the lexicographic minimum
-                continue
-            if w in seq:
-                continue
-            if _cross(v_prev, w) <= 0:
-                continue
-            d_new = (w[0] - v_prev[0], w[1] - v_prev[1])
-            if len(seq) >= 2:
-                d_prev = (v_prev[0] - seq[-2][0], v_prev[1] - seq[-2][1])
-                if _cross(d_prev, d_new) <= 0:
-                    continue
-            # origin strictly inside the new edge halfplane
-            if _cross(d_new, (-v_prev[0], -v_prev[1])) <= 0:
-                continue
-            # earlier vertices strictly inside the new edge halfplane ...
-            if any(
-                _cross(d_new, (p[0] - v_prev[0], p[1] - v_prev[1])) <= 0
-                for p in seq[:-1]
-            ):
-                continue
-            # ... and the new vertex strictly inside all committed halfplanes,
-            # which rules out star-shaped walks
-            if any(
-                _cross(d, (w[0] - s[0], w[1] - s[1])) <= 0 for s, d in edges
-            ):
-                continue
-            if not _edge_ok(data, colors_pts, v_prev, w):
-                continue
-            seq.append(w)
-            edges.append((v_prev, d_new))
-            extend(seq, edges)
-            edges.pop()
-            seq.pop()
-
-    for v0 in cands:
-        extend([v0], [])
+    for i0 in range(len(cands)):
+        after = (1 << len(cands)) - (2 << i0)  # the candidates i0+1, i0+2, ...
+        for cycle in _closable_cycles(g, [i0], after, 0, cfg.max_vertices):
+            P = RationalPolytope(2, vertices_ccw_store([cands[i] for i in cycle]))
+            if check_reflexive(data, P).ok:
+                accepted.append(P)
 
     found = {}
     for P in accepted:

@@ -195,6 +195,14 @@ def test_cli_box_env_too_small():
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("box", ["11", "abc"])
+def test_cli_box_env_out_of_range(box):
+    # a box outside 2..10 is a usage error, reported before any search
+    r = run_cli("enumerate", "--family", "toric", "--params", "n=2", env={"SPHFANO_BOX": box})
+    assert r.returncode == 2
+    assert "SPHFANO_BOX" in r.stderr
+
+
 def test_cli_catalog_csv(tmp_path):
     out = tmp_path / "cat.csv"
     r = run_cli("catalog", "--dim", "2", "--out", str(out))

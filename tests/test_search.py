@@ -1,15 +1,19 @@
 """Enumeration: published per-family counts, canonical forms, oracle agreement."""
 
+import gc
 from fractions import Fraction as F
 
 import pytest
 
+import sphfano.search as search
 from sphfano.core import check_reflexive
 from sphfano.geometry import RationalPolytope, convex_hull, transform_polytope
-from sphfano.registry import build, symmetry_group
+from sphfano.registry import SHEAR, SymmetryGroup, build, symmetry_group
 from sphfano.search import (
     BoundTooTight,
+    CanonicalFormError,
     EnumConfig,
+    InvalidConfig,
     NotReflexive,
     brute_force_oracle,
     canonical_form,
@@ -235,3 +239,51 @@ def test_rank1_enumeration_is_exhaustive_over_candidates():
     seg = RationalPolytope(1, ((F(-2),), (H,)))
     assert not check_reflexive(data, seg).ok
     assert len(enumerate_rank1(data, group=group)) == 1
+
+
+# -- search shape and failure modes --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fid,params,calls,accepts,n_classes",
+    [
+        ("toric", {"n": 2}, 647, 647, 5),
+        ("SL2xGm.horo", {"n": 2, "a1": 1}, 650, 216, 16),
+        ("SL2sq.horo2", {"a1": 1, "a2": 0, "b2": 1}, 670, 66, 39),
+    ],
+)
+def test_walk_search_shape(monkeypatch, fid, params, calls, accepts, n_classes):
+    # exact counters of the default-box walk: which closed cycles reach the
+    # reflexivity check, and how many pass
+    verdicts = []
+
+    def counting(data, P):
+        v = check_reflexive(data, P)
+        verdicts.append(v.ok)
+        return v
+
+    monkeypatch.setattr(search, "check_reflexive", counting)
+    data = build(fid, params)
+    found = enumerate_rank2(data, EnumConfig(), group=symmetry_group(fid, params))
+    assert (len(verdicts), sum(verdicts), len(found)) == (calls, accepts, n_classes)
+
+
+def test_walk_leaves_no_garbage():
+    # the walk must not build reference cycles that keep its intermediate
+    # polytopes alive until a full collection
+    data = build("toric", {"n": 2})
+    group = symmetry_group("toric", {"n": 2})
+    gc.collect()
+    enumerate_rank2(data, EnumConfig(), group=group)
+    assert gc.collect() == 0
+
+
+def test_config_and_canonical_form_fail_loudly():
+    with pytest.raises(InvalidConfig):
+        EnumConfig(1, 8)
+    with pytest.raises(InvalidConfig):
+        EnumConfig(5, 2)
+    data = build("SL2xGm.horo", {"n": 2, "a1": 1})
+    P = convex_hull([(1, 0), (0, 1), (-1, 0), (0, -1)], 2)
+    with pytest.raises(CanonicalFormError):
+        canonical_form(data, P, group=SymmetryGroup(SHEAR, fixed_vector=(0, 1)), check=False)
