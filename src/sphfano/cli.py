@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
 assertion (search box too tight, a canonical-form assumption broken,
-non-integral degree, rank-deficient relations).
+non-integral degree, rank-deficient relations, a vanishing anticanonical
+class).
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from .geometry import (
     is_lattice_basis,
     rat_str,
     parse_rat,
+    within_facets,
 )
 
 INTERIOR = "Interior"
@@ -216,13 +217,14 @@ def check_reflexive(data: CombinatorialData, P: RationalPolytope) -> Verdict:
     if P.rank != data.rank:
         raise RankMismatch(f"polytope rank {P.rank} against data rank {data.rank}")
     violations: list[tuple[str, str]] = []
+    fs = P.facets()
     origin = (Fraction(0),) * data.rank
-    if not P.contains(origin, strict=True):
+    if not within_facets(fs, origin, strict=True):
         violations.append(("C1", "origin is not strictly interior"))
 
     pts = data.color_points()
     for c, q in zip(data.colors, pts):
-        if not P.contains(q):
+        if not within_facets(fs, q):
             violations.append(("C2", f"color {c.label} point {q} outside the polytope"))
 
     color_locations = set(pts)
@@ -234,14 +236,14 @@ def check_reflexive(data: CombinatorialData, P: RationalPolytope) -> Verdict:
         elif valuation_cone_position(data, v) == OUTSIDE:
             violations.append(("C3", f"integral vertex {v} outside the valuation cone"))
 
-    for f in P.facets():
+    for f in fs:
         fverts = [P.vertices[i] for i in f.incident_vertices]
         if not cone_over_face_meets_interior(data, fverts):
             continue
         on_facet = [
             (c, q)
             for c, q in zip(data.colors, pts)
-            if sum(n * x for n, x in zip(f.normal, q)) == f.support and P.contains(q)
+            if sum(n * x for n, x in zip(f.normal, q)) == f.support and within_facets(fs, q)
         ]
         rhos = [c.rho for c, _ in on_facet]
         if len(set(rhos)) != len(rhos):

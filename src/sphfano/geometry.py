@@ -20,7 +20,11 @@ Vec = tuple[Fraction, ...]
 
 
 class DegenerateInput(ValueError):
-    """Points do not span a full-dimensional polytope."""
+    """Points or vectors do not span the full space."""
+
+
+class NotUnimodular(ValueError):
+    """An integer matrix without determinant +-1."""
 
 
 class OriginNotInterior(ValueError):
@@ -93,9 +97,15 @@ class RationalPolytope:
 
     def __post_init__(self):
         if self.rank == 1:
-            assert len(self.vertices) == 2 and self.vertices[0] < self.vertices[1]
-        else:
-            assert len(self.vertices) >= 3
+            if len(self.vertices) != 2 or not self.vertices[0] < self.vertices[1]:
+                raise DegenerateInput(
+                    "a segment needs two distinct endpoints in increasing order, got "
+                    + " ".join(map(vec_str, self.vertices))
+                )
+        elif len(self.vertices) < 3:
+            raise DegenerateInput(
+                "a polygon needs three vertices, got " + " ".join(map(vec_str, self.vertices))
+            )
 
     def facets(self) -> tuple[Facet, ...]:
         return facets(self)
@@ -165,8 +175,13 @@ def facets(P: RationalPolytope) -> tuple[Facet, ...]:
 
 
 def contains(P: RationalPolytope, x, strict: bool = False) -> bool:
+    return within_facets(facets(P), x, strict)
+
+
+def within_facets(fs, x, strict: bool = False) -> bool:
+    """`contains` against precomputed facets, for callers testing many points."""
     x = tuple(Fraction(c) for c in x)
-    for f in facets(P):
+    for f in fs:
         v = sum(n * c for n, c in zip(f.normal, x))
         if v > f.support or (strict and v == f.support):
             return False
@@ -433,7 +448,8 @@ def unimodular_inverse(M):
     if len(M) == 1:
         return ((M[0][0],),)
     d = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    assert d in (1, -1)
+    if d not in (1, -1):
+        raise NotUnimodular(f"{M} has determinant {d}")
     return (
         (M[1][1] * d, -M[0][1] * d),
         (-M[1][0] * d, M[0][0] * d),

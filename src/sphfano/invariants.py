@@ -22,7 +22,7 @@ from .core import (
     check_reflexive,
     valuation_cone_position,
 )
-from .geometry import Polynomial, RationalPolytope, dual, integrate, snf
+from .geometry import DegenerateInput, Polynomial, RationalPolytope, dual, integrate, snf
 from .search import NotReflexive
 
 STABLE = "Stable"
@@ -35,6 +35,10 @@ class NonIntegerDegree(AssertionError):
 
 
 class RelationRankDeficit(AssertionError):
+    pass
+
+
+class AnticanonicalVanishes(AssertionError):
     pass
 
 
@@ -114,7 +118,8 @@ def fano_index(data, P, checked=False) -> int:
     g = 0
     for x in free:
         g = gcd(g, abs(x))
-    assert g > 0, "anticanonical class vanished in the Picard group"
+    if g == 0:
+        raise AnticanonicalVanishes("anticanonical class vanished in the Picard group")
     return g
 
 
@@ -179,7 +184,8 @@ def k_verdict(data, P, checked=False) -> KVerdict:
     # two independent roots: solve b = t1 s1 + t2 s2 exactly
     s1, s2 = sigma
     det = s1[0] * s2[1] - s1[1] * s2[0]
-    assert det != 0, "spherical roots must be independent"
+    if det == 0:
+        raise DegenerateInput(f"spherical roots {sigma} are not independent")
     t1 = Fraction(b[0] * s2[1] - b[1] * s2[0], det)
     t2 = Fraction(s1[0] * b[1] - s1[1] * b[0], det)
     if t1 > 0 and t2 > 0:

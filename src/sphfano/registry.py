@@ -2,8 +2,11 @@
 
 Each entry turns one classification case into a parameterized constructor of
 `CombinatorialData`, together with the finite list of admissible parameter
-values and the lattice-symmetry group under which embeddings of that family
-are considered equivalent.
+values.  The lattice-symmetry group under which embeddings of an instance
+are considered equivalent is derived from its combinatorial data
+(`symmetry_group`): every unimodular matrix that permutes the spherical
+roots, the colors and the factors of the density, as decided by
+`data_preserving_permutation`.
 
 Parameter bounds are hard-coded from the impossibility arguments in the
 classification (each carries a short comment); a test exercises the first
@@ -15,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .core import Color, CombinatorialData, dh
-from .geometry import apply_matrix, unimodular_inverse
+from .geometry import apply_matrix, det2, primitive, unimodular_inverse
 
 
 class UnknownFamily(KeyError):
@@ -54,7 +58,6 @@ class FamilySpec:
     param_domain: str
     param_bound: tuple[tuple[tuple[str, int], ...], ...]
     product_note: str | None = None
-    symmetry_source: str = "stated"
 
     def params_list(self) -> list[dict]:
         return [dict(p) for p in self.param_bound]
@@ -69,8 +72,6 @@ def params_key(params: dict) -> tuple:
 
 
 _ID = ((1, 0), (0, 1))
-_SWAP = ((0, 1), (1, 0))
-_FLIPY = ((1, 0), (0, -1))
 _NEG1 = ((-1,),)
 _ID1 = ((1,),)
 
@@ -338,7 +339,6 @@ _row(
         "a2 in {0, 1}",
         _pb({"a2": 0}, {"a2": 1}),
         product_note="a2=0: products of P1 with the N-diagonal threefolds",
-        symmetry_source="count-calibrated",
     )
 )
 _row(
@@ -356,7 +356,6 @@ _row(
             {"a1": 1, "a2": 2, "b2": 3},
         ),
         product_note="a2=b2=0: products of P1 with rank-two horospherical SL2xGm^2 threefolds",
-        symmetry_source="count-calibrated",
     )
 )
 _row(
@@ -1199,105 +1198,90 @@ def data_preserving_permutation(data: CombinatorialData, M) -> tuple | None:
     return tuple(perm)
 
 
-def _finite(data, *matrices) -> SymmetryGroup:
-    mats = [tuple(map(tuple, m)) for m in matrices]
-    if mats and mats[0] != (_ID if data.rank == 2 else _ID1):
-        mats.insert(0, _ID if data.rank == 2 else _ID1)
-    perms = []
-    for m in mats:
-        perm = data_preserving_permutation(data, m)
-        assert perm is not None, f"declared symmetry {m} does not preserve the data"
-        perms.append(perm)
-    return SymmetryGroup(FINITE, tuple(mats), tuple(perms))
+def _anchors(data: CombinatorialData) -> list[tuple[int, int]]:
+    """The primitive directions, both signs, that every automorphism permutes.
+
+    These are the nonzero color rho's, the nonzero linear parts of the
+    density factors and the kernels of the spherical roots: an automorphism
+    M maps rho to rho, the factors of f to factors of f, and the kernel of
+    each root to the kernel of its image root.
+    """
+    dirs = [c.rho for c in data.colors]
+    dirs += [lin for _, lin, _ in data.f.factors]
+    dirs += [(-s[1], s[0]) for s in data.sigma]
+    out = set()
+    for d in dirs:
+        if any(d):
+            p = primitive(d)
+            out.update((p, (-p[0], -p[1])))
+    return sorted(out)
+
+
+def _rank2_group(data: CombinatorialData) -> SymmetryGroup:
+    anchors = _anchors(data)
+    if not anchors:
+        return SymmetryGroup(FULL_UNIMODULAR)
+    a = anchors[0]
+    b = next((v for v in anchors if det2(a, v)), None)
+    if b is None:
+        # every anchor on one line: shears along it, possibly with the reflection
+        return SymmetryGroup(
+            SHEAR,
+            fixed_vector=max(anchors),
+            reflection=data_preserving_permutation(data, ((1, 0), (0, -1))) is not None,
+        )
+    # an automorphism is fixed by the images of the independent pair (a, b),
+    # and those images are anchors: M = [a' b'] [a b]^-1
+    d = det2(a, b)
+    found = []
+    for a2 in anchors:
+        for b2 in anchors:
+            if abs(det2(a2, b2)) != abs(d):
+                continue
+            num = tuple(
+                (a2[i] * b[1] - b2[i] * a[1], b2[i] * a[0] - a2[i] * b[0]) for i in range(2)
+            )
+            if any(x % d for row in num for x in row):
+                continue
+            M = tuple(tuple(x // d for x in row) for row in num)
+            perm = data_preserving_permutation(data, M)
+            if perm is not None:
+                found.append((M != _ID, M, perm))
+    if len(found) == 1:
+        return SymmetryGroup(TRIVIAL)
+    found.sort()
+    return SymmetryGroup(
+        FINITE, tuple(M for _, M, _ in found), tuple(perm for _, _, perm in found)
+    )
 
 
 def symmetry_group(fid: str, params: dict | None = None) -> SymmetryGroup:
-    """The admissible lattice-symmetry group of one family instance."""
-    params = dict(params or {})
-    spec = family_spec(fid, params)
+    """The admissible lattice-symmetry group of one family instance.
+
+    Derived from the combinatorial data alone and memoised per instance.
+    """
+    return _symmetry_group(fid, params_key(dict(params or {})))
+
+
+@cache
+def _symmetry_group(fid: str, key: tuple) -> SymmetryGroup:
+    params = dict(key)
     if fid == "rank0":
+        family_spec(fid, params)
         return SymmetryGroup(TRIVIAL)
     data = build(fid, params)
-    r = data.rank
-
-    if fid == "toric":
-        return (
-            SymmetryGroup(FULL_UNIMODULAR)
-            if r == 2
-            else _finite(data, _ID1, _NEG1)
-        )
-
-    if r == 1:
-        # negation is admissible exactly when it preserves the data
-        if data_preserving_permutation(data, _NEG1) is not None:
-            return _finite(data, _ID1, _NEG1)
+    if data.rank == 2:
+        return _rank2_group(data)
+    # rank 1: negation is admissible exactly when it preserves the data
+    perms = tuple(data_preserving_permutation(data, M) for M in (_ID1, _NEG1))
+    if perms[1] is None:
         return SymmetryGroup(TRIVIAL)
-
-    # rank 2
-    a = params
-    if fid == "SL2xGm.horo":  # n = 2
-        if a["a1"] == 0:
-            return SymmetryGroup(FULL_UNIMODULAR)
-        return SymmetryGroup(SHEAR, fixed_vector=(1, 0), reflection=True)
-    if fid == "SL3.horo2":
-        if a["a1"] == 0:
-            return SymmetryGroup(FULL_UNIMODULAR)
-        return SymmetryGroup(SHEAR, fixed_vector=(1, 0), reflection=True)
-    if fid == "SL2sq.horo2":
-        a1, a2, b2 = a["a1"], a["a2"], a["b2"]
-        if (a1, a2, b2) == (0, 0, 0):
-            return SymmetryGroup(FULL_UNIMODULAR)
-        if (a2, b2) == (0, 0):
-            return SymmetryGroup(SHEAR, fixed_vector=(1, 0), reflection=True)
-        if (a2, b2) == (0, 1):
-            return _finite(data, _ID, _SWAP)
-        # exchanging the two SL2 factors realizes these involutions
-        if (a2, b2) == (1, 2):
-            return _finite(data, _ID, ((1, 0), (2, -1)))
-        if (a2, b2) == (1, 3):
-            return _finite(data, _ID, ((1, 0), (3, -1)))
-        if (a2, b2) == (2, 3):
-            return _finite(data, _ID, ((2, -1), (3, -2)))
-        return SymmetryGroup(TRIVIAL)
-    if fid == "SL2xGm.T":
-        return _finite(data, _ID, _FLIPY if a["a1"] % 2 == 0 else _SWAP)
-    if fid == "SL2xGm.N.product":
-        return _finite(data, _ID, _FLIPY)
-    if fid == "SL2xGm.N.diag":
-        return _finite(data, _ID, _SWAP)
-    if fid in ("SL2sqxGm.diagSL2", "SL2sqxGm.NdiagSL2"):
-        return _finite(data, _ID, _FLIPY)
-    if fid == "SL2sq.GL2":
-        return _finite(data, _ID, _SWAP)
-    if fid == "SL2sq.diagB":
-        return _finite(data, _ID, _FLIPY)
-    if fid == "SL2sq.NdiagB":
-        return _finite(data, _ID, _SWAP)
-    if fid == "SL2sq.TxT":
-        return _finite(data, _ID, _SWAP)
-    if fid == "SL2sq.NTxT":
-        return SymmetryGroup(TRIVIAL)
-    if fid == "SL2sq.NTxNT":
-        return _finite(data, _ID, _SWAP)
-    if fid == "SL2sq.diagNT":
-        return _finite(data, _ID, _FLIPY)
-    if fid == "SL2sq.PI-T":
-        if a["a2"] == 0:
-            return _finite(data, _ID, _FLIPY if a["a1"] % 2 == 0 else _SWAP)
-        return SymmetryGroup(TRIVIAL)
-    if fid == "SL2sq.PI-N.product":
-        if a["a2"] == 0:
-            return _finite(data, _ID, _FLIPY)
-        return SymmetryGroup(TRIVIAL)
-    if fid == "SL2sq.PI-N.diag":
-        if a["a2"] == 0:
-            return _finite(data, _ID, _SWAP)
-        return SymmetryGroup(TRIVIAL)
-    return SymmetryGroup(TRIVIAL)
+    return SymmetryGroup(FINITE, (_ID1, _NEG1), perms)
 
 
 def registry_json() -> list[dict]:
-    """The whole registry in the shipped `families.json` shape."""
+    """The whole registry as JSON-ready rows, with each instance's derived group
+    (the output of `sphfano families --json`)."""
     out = []
     for spec in FAMILY_ROWS:
         entry = {
@@ -1307,7 +1291,6 @@ def registry_json() -> list[dict]:
             "param_domain": spec.param_domain,
             "param_bound": [dict(p) for p in spec.param_bound],
             "product_note": spec.product_note,
-            "symmetry_source": spec.symmetry_source,
         }
         if spec.id != "rank0":
             syms = []

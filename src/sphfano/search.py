@@ -75,9 +75,6 @@ class CanonicalPolytope:
     polytope: RationalPolytope
     stabilizer_size: int
 
-    def vertices(self):
-        return self.polytope.vertices
-
 
 # ---------------------------------------------------------------------------
 # canonical forms
@@ -107,18 +104,13 @@ def _full_unimodular_candidates(P: RationalPolytope):
 def canonical_form(
     data: CombinatorialData,
     P: RationalPolytope,
-    group: SymmetryGroup | None = None,
-    cfg: EnumConfig | None = None,
-    fid: str | None = None,
-    params: dict | None = None,
+    *,
+    group: SymmetryGroup,
     check: bool = True,
 ) -> CanonicalPolytope:
     """The distinguished representative of P's orbit under the family group."""
-    if group is None:
-        group = symmetry_group(fid, params)
     if check and not check_reflexive(data, P).ok:
         raise NotReflexive("canonical_form expects an accepted polytope")
-    cfg = cfg or EnumConfig()
 
     if group.kind == TRIVIAL:
         return CanonicalPolytope(P, 1)
@@ -173,7 +165,7 @@ def canonical_form(
 # rank 1
 
 
-def enumerate_rank1(data: CombinatorialData, fid=None, params=None, group=None):
+def enumerate_rank1(data: CombinatorialData, *, group: SymmetryGroup):
     """All admissible segments, canonically deduplicated.
 
     A non-color endpoint whose ray meets the open valuation cone must by
@@ -182,8 +174,6 @@ def enumerate_rank1(data: CombinatorialData, fid=None, params=None, group=None):
     """
     if data.rank != 1:
         raise RankMismatch("enumerate_rank1 needs rank-1 data")
-    if group is None:
-        group = symmetry_group(fid, params)
     cands = {Fraction(-1), Fraction(1)}
     cands.update(q[0] for q in data.color_points())
     lows = sorted(c for c in cands if c < 0)
@@ -325,16 +315,13 @@ def _closable_cycles(g: _SuccessorGraph, seq, allowed, inner, max_vertices):
 def enumerate_rank2(
     data: CombinatorialData,
     cfg: EnumConfig | None = None,
-    fid=None,
-    params=None,
-    group=None,
+    *,
+    group: SymmetryGroup,
 ):
     """Exhaustive counterclockwise vertex walk within the certified box."""
     if data.rank != 2:
         raise RankMismatch("enumerate_rank2 needs rank-2 data")
     cfg = cfg or EnumConfig()
-    if group is None:
-        group = symmetry_group(fid, params)
     cands = _candidate_points(data, cfg)
     g = _SuccessorGraph(data, cands)
     accepted = []
@@ -347,7 +334,7 @@ def enumerate_rank2(
 
     found = {}
     for P in accepted:
-        cp = canonical_form(data, P, group=group, cfg=cfg, check=False)
+        cp = canonical_form(data, P, group=group, check=False)
         found[cp.polytope.vertices] = cp
 
     # certification on canonical representatives: an infinite symmetry group
@@ -402,7 +389,7 @@ def _angular_order(points):
     return sorted(points, key=functools.cmp_to_key(cmp))
 
 
-def brute_force_oracle(data: CombinatorialData, cfg: EnumConfig, fid=None, params=None, group=None):
+def brute_force_oracle(data: CombinatorialData, cfg: EnumConfig, *, group: SymmetryGroup):
     """Independent check path over raw vertex subsets.
 
     Generates every subset of the candidate points (up to max_vertices) whose
@@ -418,8 +405,6 @@ def brute_force_oracle(data: CombinatorialData, cfg: EnumConfig, fid=None, param
     """
     if data.rank != 2:
         raise RankMismatch("brute_force_oracle needs rank-2 data")
-    if group is None:
-        group = symmetry_group(fid, params)
     B = cfg.box_bound
     color_locs = {q for q in data.color_points() if any(q)}
 
@@ -465,7 +450,7 @@ def brute_force_oracle(data: CombinatorialData, cfg: EnumConfig, fid=None, param
         verts = [(Fraction(x, scale), Fraction(y, scale)) for x, y in seq]
         P = RationalPolytope(2, vertices_ccw_store(verts))
         if check_reflexive(data, P).ok:
-            cp = canonical_form(data, P, group=group, cfg=cfg, check=False)
+            cp = canonical_form(data, P, group=group, check=False)
             found[cp.polytope.vertices] = cp
 
     def walk(start, seq):

@@ -120,14 +120,14 @@ def test_parallel_build_matches_serial():
 # -- command line ----------------------------------------------------------------
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, flags=()):
     import os
 
     e = dict(os.environ)
     if env:
         e.update(env)
     return subprocess.run(
-        [sys.executable, "-m", "sphfano.cli", *args],
+        [sys.executable, *flags, "-m", "sphfano.cli", *args],
         capture_output=True,
         text=True,
         env=e,
@@ -163,6 +163,29 @@ def test_cli_check():
     r = run_cli("check", "--family", "SL2sq.diagSL2", "--vertices", "(-1);(1)")
     assert r.returncode == 0
     assert "not locally factorial" in r.stdout
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_cli_check_degenerate_segment(flags):
+    # a repeated endpoint is a usage error with a message, also under -O
+    r = run_cli("check", "--family", "SL2.T", "--vertices", "(1);(1)", flags=flags)
+    assert r.returncode == 2
+    assert "two distinct endpoints" in r.stderr
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert statements; checks must raise typed exceptions
+    import ast
+    from pathlib import Path
+
+    import sphfano
+
+    found = []
+    for path in sorted(Path(sphfano.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
 
 
 def test_cli_usage_errors():
