@@ -16,13 +16,13 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from multiprocessing import Pool
 
-from .geometry import RationalPolytope, rat_str
-from .invariants import degree, fano_index, k_verdict, picard_rank
+from .geometry import RationalPolytope, convex_hull, rat_str
+from .invariants import all_invariants
 from .registry import RANK0_TABLE, build, families, params_key, symmetry_group
 from .search import EnumConfig, InvalidConfig, canonical_form, enumerate_polytopes
 
@@ -69,6 +69,10 @@ class Catalog:
 # its size and build time grow with the fourth power of the box
 MAX_BOX = 10
 
+# each worker is a forked interpreter, and about a dozen of the 90 family
+# instances take most of the build, so more workers only add memory
+MAX_JOBS = 16
+
 
 def default_config() -> EnumConfig:
     """The search bounds, with the box taken from SPHFANO_BOX when set."""
@@ -94,8 +98,6 @@ def _load_identifier_map():
         if rank == 1:
             P = RationalPolytope(1, tuple(sorted(tuple(v) for v in verts)))
         else:
-            from .geometry import convex_hull
-
             P = convex_hull(verts, 2)
         data = build(fid, params)
         group = symmetry_group(fid, params)
@@ -129,36 +131,49 @@ def identifier_sort_key(identifier: str):
 
 
 def _job(args):
+    """The records of one family instance, identifiers still blank."""
     fid, params, cfg = args
     data = build(fid, params)
     group = symmetry_group(fid, params)
-    cps = enumerate_polytopes(fid, params, cfg=cfg, data=data, group=group)
     out = []
-    for cp in cps:
+    for cp in enumerate_polytopes(fid, params, cfg=cfg, data=data, group=group):
         P = cp.polytope
-        kv = k_verdict(data, P, checked=True)
+        inv = all_invariants(data, P)
+        kv = inv["k_verdict"]
         out.append(
-            {
-                "family": fid,
-                "params": params,
-                "dim": data.dim,
-                "rank": data.rank,
-                "pic": picard_rank(data, P, checked=True),
-                "degree": degree(data, P, checked=True),
-                "fano_index": fano_index(data, P, checked=True),
-                "ke": kv.is_stable(),
-                "k_value": kv.value,
-                "barycenter": [rat_str(c) for c in kv.barycenter],
-                "group": data.group_name,
-                "type": data.space_type,
-                "vertices": [[rat_str(c) for c in v] for v in P.vertices],
-            }
+            EmbeddingRecord(
+                identifier="",
+                family=fid,
+                params=params_key(params),
+                dim=data.dim,
+                rank=data.rank,
+                pic=inv["pic"],
+                degree=inv["degree"],
+                fano_index=inv["fano_index"],
+                ke=kv.is_stable(),
+                group=data.group_name,
+                space_type=data.space_type,
+                vertices=P.vertices,
+                barycenter=kv.barycenter,
+                k_value=kv.value,
+            )
         )
     return out
 
 
+def _catalog(records) -> Catalog:
+    """The records in emission order, with the rank-by-dimension counts."""
+    records = sorted(records, key=lambda r: (r.dim, r.rank, identifier_sort_key(r.identifier)))
+    counts = {}
+    for r in records:
+        counts[(r.rank, r.dim)] = counts.get((r.rank, r.dim), 0) + 1
+    return Catalog(tuple(records), counts)
+
+
 def build_catalog(dims=None, ranks=None, cfg=None, jobs=1, warn=None) -> Catalog:
     """Enumerate everything in scope and attach identifiers."""
+    if type(jobs) is not int or not 1 <= jobs <= MAX_JOBS:
+        raise InvalidConfig(f"jobs must be an integer in 1..{MAX_JOBS}, got {jobs!r}")
     dims = sorted(set(dims)) if dims else [1, 2, 3, 4]
     ranks = sorted(set(ranks)) if ranks else [0, 1, 2]
     cfg = cfg or default_config()
@@ -178,36 +193,17 @@ def build_catalog(dims=None, ranks=None, cfg=None, jobs=1, warn=None) -> Catalog
         results = [_job(j) for j in jobs_list]
 
     mapping = identifier_map()
-    raw = [rec for chunk in results for rec in chunk]
     records = []
     unmatched = {}
-    for rec in raw:
-        verts = tuple(tuple(Fraction(c) for c in v) for v in rec["vertices"])
-        key = (rec["family"], params_key(rec["params"]), verts)
+    for rec in (rec for chunk in results for rec in chunk):
+        key = (rec.family, rec.params, rec.vertices)
         ident = mapping.get(key)
         if ident is None:
-            k = unmatched.setdefault((rec["dim"], rec["rank"]), 0) + 1
-            unmatched[(rec["dim"], rec["rank"])] = k
-            ident = f"computed-{rec['dim']}-{rec['rank']}-{k}"
+            k = unmatched.get((rec.dim, rec.rank), 0) + 1
+            unmatched[(rec.dim, rec.rank)] = k
+            ident = f"computed-{rec.dim}-{rec.rank}-{k}"
             warn(f"no published identifier for {key}; assigned {ident}")
-        records.append(
-            EmbeddingRecord(
-                identifier=ident,
-                family=rec["family"],
-                params=params_key(rec["params"]),
-                dim=rec["dim"],
-                rank=rec["rank"],
-                pic=rec["pic"],
-                degree=rec["degree"],
-                fano_index=rec["fano_index"],
-                ke=rec["ke"],
-                group=rec["group"],
-                space_type=rec["type"],
-                vertices=verts,
-                barycenter=tuple(rec["barycenter"]),
-                k_value=rec["k_value"],
-            )
-        )
+        records.append(replace(rec, identifier=ident))
 
     if 0 in ranks:
         counters = {}
@@ -231,17 +227,12 @@ def build_catalog(dims=None, ranks=None, cfg=None, jobs=1, warn=None) -> Catalog
                 )
             )
 
-    seen = {}
+    seen = set()
     for r in records:
         if r.identifier in seen:
             raise MappingConflict(f"identifier {r.identifier} claimed twice")
-        seen[r.identifier] = r
-    records.sort(key=lambda r: (r.dim, r.rank, identifier_sort_key(r.identifier)))
-
-    counts = {}
-    for r in records:
-        counts[(r.rank, r.dim)] = counts.get((r.rank, r.dim), 0) + 1
-    return Catalog(tuple(records), counts)
+        seen.add(r.identifier)
+    return _catalog(records)
 
 
 def counts_table(catalog: Catalog):
@@ -318,7 +309,7 @@ def catalog_to_json(catalog: Catalog) -> list:
                 "fano_index": r.fano_index,
                 "ke": r.ke,
                 "k_verdict": r.k_value,
-                "barycenter": list(r.barycenter),
+                "barycenter": [rat_str(c) for c in r.barycenter],
                 "group": r.group,
                 "type": r.space_type,
                 "polytope": {"vertices": [[rat_str(c) for c in v] for v in r.vertices]},
@@ -346,15 +337,11 @@ def catalog_from_json(data: list) -> Catalog:
                 vertices=tuple(
                     tuple(Fraction(c) for c in v) for v in d["polytope"]["vertices"]
                 ),
-                barycenter=tuple(d.get("barycenter", ())),
+                barycenter=tuple(Fraction(c) for c in d.get("barycenter", ())),
                 k_value=d.get("k_verdict", ""),
             )
         )
-    records.sort(key=lambda r: (r.dim, r.rank, identifier_sort_key(r.identifier)))
-    counts = {}
-    for r in records:
-        counts[(r.rank, r.dim)] = counts.get((r.rank, r.dim), 0) + 1
-    return Catalog(tuple(records), counts)
+    return _catalog(records)
 
 
 def emit(catalog: Catalog, fmt: str, path=None) -> str:

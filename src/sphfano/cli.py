@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
 assertion (search box too tight, a canonical-form assumption broken,
 non-integral degree, rank-deficient relations, a vanishing anticanonical
-class).
+class, data whose symmetries no group kind describes).
 """
 
 from __future__ import annotations

@@ -204,6 +204,43 @@ def cone_over_face_meets_interior(data: CombinatorialData, face_vertices) -> boo
     return True
 
 
+def _on_face(face_vertices, q) -> bool:
+    """Whether q lies on the closed face: the point itself, or the segment."""
+    if len(face_vertices) == 1:
+        return q == face_vertices[0]
+    (vx, vy), (wx, wy) = face_vertices
+    dx, dy, rx, ry = wx - vx, wy - vy, q[0] - vx, q[1] - vy
+    return dx * ry == dy * rx and 0 <= dx * rx + dy * ry <= dx * dx + dy * dy
+
+
+def facet_violation(data: CombinatorialData, face_vertices, color_points):
+    """Condition C4 on one facet: None, or the violated condition and its detail.
+
+    The facet is given by its vertices alone, so the walk applies the same
+    test to a candidate edge before any polygon exists; `color_points` are
+    `data.color_points()`, computed once by the caller.  Only facets whose
+    cone meets the open valuation cone are constrained.
+    """
+    if not cone_over_face_meets_interior(data, face_vertices):
+        return None
+    on_face = [
+        (c.rho, q) for c, q in zip(data.colors, color_points) if _on_face(face_vertices, q)
+    ]
+    rhos = [rho for rho, _ in on_face]
+    if any(rhos.count(rho) > 1 for rho in rhos):
+        return "C4a", "colors with equal rho on a constrained facet"
+    locs = [q for _, q in on_face]
+    if any(q not in face_vertices for q in locs):
+        return "C4b", "a color point lies on the facet but is not a vertex"
+    rest = [v for v in face_vertices if v not in locs]
+    if any(c.denominator != 1 for v in rest for c in v):
+        return "C4b", "non-integral non-color vertex"
+    basis = rhos + [tuple(int(c) for c in v) for v in rest]
+    if not is_lattice_basis(basis):
+        return "C4b", f"{basis} is not a lattice basis"
+    return None
+
+
 def check_reflexive(data: CombinatorialData, P: RationalPolytope) -> Verdict:
     """The four-condition test for locally factorial reflexivity of P.
 
@@ -237,35 +274,7 @@ def check_reflexive(data: CombinatorialData, P: RationalPolytope) -> Verdict:
             violations.append(("C3", f"integral vertex {v} outside the valuation cone"))
 
     for f in fs:
-        fverts = [P.vertices[i] for i in f.incident_vertices]
-        if not cone_over_face_meets_interior(data, fverts):
-            continue
-        on_facet = [
-            (c, q)
-            for c, q in zip(data.colors, pts)
-            if sum(n * x for n, x in zip(f.normal, q)) == f.support and within_facets(fs, q)
-        ]
-        rhos = [c.rho for c, _ in on_facet]
-        if len(set(rhos)) != len(rhos):
-            violations.append(
-                ("C4a", f"facet {f.normal}: colors with equal rho on a constrained facet")
-            )
-            continue
-        facet_vertex_set = set(fverts)
-        locs = {q for _, q in on_facet}
-        if not locs <= facet_vertex_set:
-            violations.append(
-                ("C4b", f"facet {f.normal}: a color point lies on the facet but is not a vertex")
-            )
-            continue
-        rest = [v for v in fverts if v not in locs]
-        if any(Fraction(c).denominator != 1 for v in rest for c in v):
-            violations.append(("C4b", f"facet {f.normal}: non-integral non-color vertex"))
-            continue
-        basis_int = rhos + [tuple(int(c) for c in v) for v in rest]
-        if not is_lattice_basis(basis_int):
-            violations.append(
-                ("C4b", f"facet {f.normal}: {basis_int} is not a lattice basis")
-            )
-    ok = not violations
-    return Verdict(ok, tuple(violations))
+        found = facet_violation(data, [P.vertices[i] for i in f.incident_vertices], pts)
+        if found:
+            violations.append((found[0], f"facet {f.normal}: {found[1]}"))
+    return Verdict(not violations, tuple(violations))

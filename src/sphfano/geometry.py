@@ -67,7 +67,7 @@ def is_lattice_basis(vs) -> bool:
     r = len(vs[0])
     if len(vs) != r or any(len(v) != r for v in vs):
         return False
-    if any(Fraction(c).denominator != 1 for v in vs for c in v):
+    if any(c.denominator != 1 for v in vs for c in v):
         return False
     ints = [[int(c) for c in v] for v in vs]
     if r == 1:
@@ -280,16 +280,6 @@ class Polynomial:
                     term = term * exprs[var]
             result = result + term
         return result
-
-    def eval(self, x) -> Fraction:
-        x = [Fraction(c) for c in x]
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            t = c
-            for xi, p in zip(x, e):
-                t *= xi**p
-            total += t
-        return total
 
     def degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)

@@ -13,15 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import factorial, gcd
 
-from .core import (
-    BOUNDARY,
-    INTERIOR,
-    CombinatorialData,
-    check_reflexive,
-    valuation_cone_position,
-)
+from .core import CombinatorialData, check_reflexive
 from .geometry import DegenerateInput, Polynomial, RationalPolytope, dual, integrate, snf
 from .search import NotReflexive
 
@@ -64,33 +59,29 @@ class KVerdict:
         return self.value == STABLE
 
 
-def _require_reflexive(data, P):
-    v = check_reflexive(data, P)
-    if not v.ok:
-        raise NotReflexive(f"polytope fails: {v.violations}")
+@dataclass(frozen=True)
+class _Accepted:
+    basis: DivisorBasis
+    presentation: PicardPresentation
+    dual: RationalPolytope
+    density: Polynomial
 
 
-def divisor_basis(data: CombinatorialData, P: RationalPolytope, checked=False) -> DivisorBasis:
-    """Split the Picard generators: all colors, then the color-free vertices in the cone."""
-    if not checked:
-        _require_reflexive(data, P)
+@lru_cache(maxsize=1)
+def _accepted(data: CombinatorialData, P: RationalPolytope) -> _Accepted:
+    """What every invariant of one accepted polytope reads, computed once.
+
+    The invariants of a polytope are asked for together, one polytope after
+    another, so a single cache entry serves them all.
+    """
+    verdict = check_reflexive(data, P)
+    if not verdict.ok:
+        raise NotReflexive(f"polytope fails: {verdict.violations}")
+    # by C3 every vertex off the color points is an integral point of the
+    # valuation cone, that is, a G-stable prime divisor
     color_locs = set(data.color_points())
-    g_stable = []
-    for v in P.vertices:
-        if v in color_locs:
-            continue
-        if all(c.denominator == 1 for c in v) and valuation_cone_position(data, v) in (
-            INTERIOR,
-            BOUNDARY,
-        ):
-            g_stable.append(tuple(int(c) for c in v))
-    return DivisorBasis(tuple(data.colors), tuple(g_stable))
-
-
-def picard_presentation(data, P, checked=False) -> PicardPresentation:
-    basis = divisor_basis(data, P, checked=checked)
-    rows = [tuple(c.rho) for c in basis.colors] + [tuple(v) for v in basis.g_stable]
-    A = tuple(rows)
+    g_stable = tuple(tuple(int(c) for c in v) for v in P.vertices if v not in color_locs)
+    A = tuple(c.rho for c in data.colors) + g_stable
     U, S, V = snf(A)
     r = data.rank
     nonzero = sum(1 for i in range(min(len(A), r)) if S[i][i] != 0)
@@ -100,67 +91,68 @@ def picard_presentation(data, P, checked=False) -> PicardPresentation:
         # locally factorial embeddings have free Picard group; torsion here
         # means a transcription bug upstream, so refuse to continue
         raise RelationRankDeficit(f"torsion in Picard presentation: {S}")
-    return PicardPresentation(A, (U, S, V), len(A) - r)
+    return _Accepted(
+        DivisorBasis(data.colors, g_stable),
+        PicardPresentation(A, (U, S, V), len(A) - r),
+        dual(P),
+        data.f.expand(r),
+    )
 
 
-def picard_rank(data, P, checked=False) -> int:
-    return picard_presentation(data, P, checked=checked).free_rank
+def divisor_basis(data: CombinatorialData, P: RationalPolytope) -> DivisorBasis:
+    """Split the Picard generators: all colors, then the color-free vertices in the cone."""
+    return _accepted(data, P).basis
 
 
-def fano_index(data, P, checked=False) -> int:
+def picard_presentation(data, P) -> PicardPresentation:
+    return _accepted(data, P).presentation
+
+
+def picard_rank(data, P) -> int:
+    return _accepted(data, P).presentation.free_rank
+
+
+def fano_index(data, P) -> int:
     """Largest integer dividing the anticanonical class in the Picard group."""
-    pres = picard_presentation(data, P, checked=checked)
-    basis = divisor_basis(data, P, checked=True)
-    b = [c.m for c in basis.colors] + [1] * len(basis.g_stable)
-    U, S, V = pres.snf_data
+    acc = _accepted(data, P)
+    b = [c.m for c in data.colors] + [1] * len(acc.basis.g_stable)
+    U = acc.presentation.snf_data[0]
     c = [sum(U[i][j] * b[j] for j in range(len(b))) for i in range(len(b))]
-    free = c[data.rank :]
     g = 0
-    for x in free:
+    for x in c[data.rank :]:
         g = gcd(g, abs(x))
     if g == 0:
         raise AnticanonicalVanishes("anticanonical class vanished in the Picard group")
     return g
 
 
-def moment_polytope(data, P, checked=False):
+def moment_polytope(data, P):
     """The dual polytope (the moment polytope translated back by kappa)."""
-    if not checked:
-        _require_reflexive(data, P)
-    return dual(P), data.kappa_expr
+    return _accepted(data, P).dual, data.kappa_expr
 
 
-def degree(data, P, checked=False) -> int:
+def degree(data, P) -> int:
     """Anticanonical degree: dim! times the integral of the density over the dual."""
-    if not checked:
-        _require_reflexive(data, P)
-    D = dual(P)
-    f = data.f.expand(data.rank)
-    value = integrate(D, f)
-    total = value
-    for k in range(2, data.dim + 1):
-        total *= k
+    acc = _accepted(data, P)
+    total = integrate(acc.dual, acc.density) * factorial(data.dim)
     if total.denominator != 1 or total <= 0:
         raise NonIntegerDegree(f"degree {total} is not a positive integer")
     return int(total)
 
 
-def dh_barycenter(data, P, checked=False) -> tuple:
+def dh_barycenter(data, P) -> tuple:
     """Componentwise integral of x_i * f over the dual polytope (not normalized)."""
-    if not checked:
-        _require_reflexive(data, P)
-    D = dual(P)
-    f = data.f.expand(data.rank)
+    acc, r = _accepted(data, P), data.rank
     out = []
-    for i in range(data.rank):
-        e = tuple(1 if j == i else 0 for j in range(data.rank))
-        out.append(integrate(D, f * Polynomial.monomial(data.rank, e)))
+    for i in range(r):
+        x_i = Polynomial.monomial(r, tuple(1 if j == i else 0 for j in range(r)))
+        out.append(integrate(acc.dual, acc.density * x_i))
     return tuple(out)
 
 
-def k_verdict(data, P, checked=False) -> KVerdict:
+def k_verdict(data, P) -> KVerdict:
     """Position of the barycenter in the cone spanned by the spherical roots."""
-    b = dh_barycenter(data, P, checked=checked)
+    b = dh_barycenter(data, P)
     sigma = data.sigma
     zero = all(x == 0 for x in b)
     if not sigma:
@@ -196,10 +188,9 @@ def k_verdict(data, P, checked=False) -> KVerdict:
 
 
 def all_invariants(data, P) -> dict:
-    _require_reflexive(data, P)
     return {
-        "pic": picard_rank(data, P, checked=True),
-        "degree": degree(data, P, checked=True),
-        "fano_index": fano_index(data, P, checked=True),
-        "k_verdict": k_verdict(data, P, checked=True),
+        "pic": picard_rank(data, P),
+        "degree": degree(data, P),
+        "fano_index": fano_index(data, P),
+        "k_verdict": k_verdict(data, P),
     }

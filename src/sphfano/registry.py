@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 
 from .core import Color, CombinatorialData, dh
-from .geometry import apply_matrix, det2, primitive, unimodular_inverse
+from .geometry import Polynomial, apply_matrix, det2, primitive, unimodular_inverse
 
 
 class UnknownFamily(KeyError):
@@ -30,6 +30,10 @@ class UnknownFamily(KeyError):
 
 class ParamsOutOfDomain(ValueError):
     pass
+
+
+class UnsupportedSymmetry(AssertionError):
+    """Data whose automorphisms no `SymmetryGroup` kind describes."""
 
 
 # symmetry group kinds
@@ -1185,8 +1189,6 @@ def data_preserving_permutation(data: CombinatorialData, M) -> tuple | None:
         else:
             return None
     # f invariance: f(M^T x) == f(x)
-    from .geometry import Polynomial
-
     rank = data.rank
     exprs = [
         Polynomial.affine(rank, 0, tuple(M[i][j] for i in range(rank)))
@@ -1224,10 +1226,20 @@ def _rank2_group(data: CombinatorialData) -> SymmetryGroup:
     a = anchors[0]
     b = next((v for v in anchors if det2(a, v)), None)
     if b is None:
-        # every anchor on one line: shears along it, possibly with the reflection
+        # every anchor on one line: shears along it, possibly with the
+        # reflection.  The shear class fixes the x-axis pointwise, so it cannot
+        # hold another line or an automorphism negating the line, and it
+        # assumes the unit shear, hence every shear, preserves the data
+        line = max(anchors)
+        preserved = [
+            data_preserving_permutation(data, M) is not None
+            for M in (((1, 1), (0, 1)), ((-1, 0), (0, 1)), ((-1, 0), (0, -1)))
+        ]
+        if line != (1, 0) or preserved != [True, False, False]:
+            raise UnsupportedSymmetry(f"anchors on the line through {line} need another group kind")
         return SymmetryGroup(
             SHEAR,
-            fixed_vector=max(anchors),
+            fixed_vector=line,
             reflection=data_preserving_permutation(data, ((1, 0), (0, -1))) is not None,
         )
     # an automorphism is fixed by the images of the independent pair (a, b),

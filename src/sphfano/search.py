@@ -5,9 +5,12 @@ depth-first walk over strictly counterclockwise vertex sequences around the
 origin, drawn from the integer points of a search box together with the
 color points.  The walk runs in integer arithmetic on a successor graph of
 the candidates, with each pairwise test made once and the half-plane tests
-as bitmasks (`_SuccessorGraph`); only closed cycles become polytopes for the
-reflexivity check.  The result is certified afterwards: no accepted
-polytope may touch the box, so enlarging the box provably changes nothing.
+as bitmasks (`_SuccessorGraph`).  The pairwise test is the facet condition
+C4 of `check_reflexive`, through the same `facet_violation`, so no edge that
+cannot be a facet of an accepted polytope is walked.  Only closed cycles
+become polytopes for the reflexivity check.  The result is certified
+afterwards: no accepted polytope may touch the box, so enlarging the box
+provably changes nothing.
 
 Accepted polytopes are reduced modulo the family's admissible symmetry group
 to canonical representatives.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd as math_gcd, lcm
 
 from .core import (
@@ -25,17 +29,16 @@ from .core import (
     CombinatorialData,
     RankMismatch,
     check_reflexive,
-    cone_over_face_meets_interior,
+    facet_violation,
     valuation_cone_position,
 )
 from .geometry import (
     RationalPolytope,
-    is_lattice_basis,
     transform_polytope,
     unimodular_inverse,
     vertices_ccw_store,
 )
-from .registry import FULL_UNIMODULAR, SHEAR, TRIVIAL, SymmetryGroup, symmetry_group
+from .registry import FULL_UNIMODULAR, SHEAR, TRIVIAL, SymmetryGroup, build, symmetry_group
 
 
 class BoundTooTight(RuntimeError):
@@ -211,40 +214,13 @@ def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _edge_ok(data, colors_pts, v, w) -> bool:
-    """Facet-level feasibility of the edge v -> w (C4a/C4b where they apply)."""
-    if not cone_over_face_meets_interior(data, (v, w)):
-        return True
-    # colors on the closed segment [v, w]
-    d = (w[0] - v[0], w[1] - v[1])
-    on_edge = []
-    for c, q in colors_pts:
-        r = (q[0] - v[0], q[1] - v[1])
-        if _cross(d, r) != 0:
-            continue
-        t = (r[0] / d[0]) if d[0] else (r[1] / d[1])
-        if 0 <= t <= 1:
-            on_edge.append((c, q, t))
-    rhos = [c.rho for c, _, _ in on_edge]
-    if len(set(rhos)) != len(rhos):
-        return False
-    locs = {q for _, q, _ in on_edge}
-    if not locs <= {v, w}:
-        return False  # color strictly inside the edge
-    rest = [p for p in (v, w) if p not in locs]
-    if any(c.denominator != 1 for p in rest for c in p):
-        return False
-    basis = rhos + [tuple(int(c) for c in p) for p in rest]
-    return is_lattice_basis(basis)
-
-
 class _SuccessorGraph:
     """The candidates as scaled integer points, with the walk's pairwise tests.
 
     Candidate i keeps its index in the lexicographic order of the rational
     points; scaling by the lcm of the denominators preserves that order.
     `succ[i]` is the bitmask of the successors j: the origin lies strictly
-    left of i -> j (cross(v_i, v_j) > 0) and the edge passes `_edge_ok`,
+    left of i -> j (cross(v_i, v_j) > 0) and the edge passes `facet_violation`,
     evaluated once per ordered pair.  `left(i, j)` is the bitmask of the
     candidates strictly left of the line i -> j.
     """
@@ -255,12 +231,14 @@ class _SuccessorGraph:
             for c in q:
                 scale = lcm(scale, c.denominator)
         self.pts = pts = [(int(x * scale), int(y * scale)) for x, y in cands]
-        colors_pts = list(zip(data.colors, data.color_points()))
+        color_pts = data.color_points()
         self.succ = []
         for i, (xi, yi) in enumerate(pts):
             mask = 0
             for j, (xj, yj) in enumerate(pts):
-                if xi * yj - yi * xj > 0 and _edge_ok(data, colors_pts, cands[i], cands[j]):
+                if xi * yj - yi * xj > 0 and not facet_violation(
+                    data, (cands[i], cands[j]), color_pts
+                ):
                     mask |= 1 << j
             self.succ.append(mask)
         self._left = {}
@@ -356,8 +334,6 @@ def enumerate_rank2(
 
 def enumerate_polytopes(fid, params=None, cfg=None, data=None, group=None):
     """Dispatch by rank; the entry point used by the catalog builder."""
-    from .registry import build
-
     params = dict(params or {})
     if data is None:
         data = build(fid, params)
@@ -374,8 +350,6 @@ def _angular_order(points):
     def half(p):
         return 0 if (p[1] > 0 or (p[1] == 0 and p[0] > 0)) else 1
 
-    import functools
-
     def cmp(p, q):
         hp, hq = half(p), half(q)
         if hp != hq:
@@ -386,7 +360,7 @@ def _angular_order(points):
         # same ray: nearer point first (any fixed tie-break works)
         return -1 if (abs(p[0]) + abs(p[1])) < (abs(q[0]) + abs(q[1])) else 1
 
-    return sorted(points, key=functools.cmp_to_key(cmp))
+    return sorted(points, key=cmp_to_key(cmp))
 
 
 def brute_force_oracle(data: CombinatorialData, cfg: EnumConfig, *, group: SymmetryGroup):

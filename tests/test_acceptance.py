@@ -181,7 +181,7 @@ def test_criterion_7_property_suites(full_catalog):
             if r.rank == 1
             else RationalPolytope(2, r.vertices)
         )
-        pres = picard_presentation(data, P, checked=True)
+        pres = picard_presentation(data, P)
         U, S, V = pres.snf_data
         free = free and all(S[i][i] == 1 for i in range(r.rank))
         A = pres.relation_matrix

@@ -3,12 +3,17 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sphfano
+from sphfano import catalog
 from sphfano.catalog import (
+    MAX_JOBS,
     MalformedExpectedFile,
     bundled_expected,
     build_catalog,
@@ -21,6 +26,8 @@ from sphfano.catalog import (
     load_expected_csv,
     verify,
 )
+from sphfano.cli import main
+from sphfano.search import InvalidConfig
 
 
 def test_identifier_map_loads_and_is_injective():
@@ -121,8 +128,6 @@ def test_parallel_build_matches_serial():
 
 
 def run_cli(*args, env=None, flags=()):
-    import os
-
     e = dict(os.environ)
     if env:
         e.update(env)
@@ -224,6 +229,33 @@ def test_cli_box_env_out_of_range(box):
     r = run_cli("enumerate", "--family", "toric", "--params", "n=2", env={"SPHFANO_BOX": box})
     assert r.returncode == 2
     assert "SPHFANO_BOX" in r.stderr
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+@pytest.mark.parametrize("jobs", [0, -5, MAX_JOBS + 1, 2.0, "2"])
+def test_jobs_out_of_range(jobs, monkeypatch):
+    # the check comes before any work; the stub fails if a pool is started
+    monkeypatch.setattr(catalog, "Pool", _no_pool)
+    with pytest.raises(InvalidConfig):
+        build_catalog(dims=[1], jobs=jobs)
+
+
+def test_cli_jobs_out_of_range(monkeypatch, capsys):
+    monkeypatch.setattr(catalog, "Pool", _no_pool)
+    assert main(["catalog", "--dim", "1", "--jobs", "-5"]) == 2
+    assert f"jobs must be an integer in 1..{MAX_JOBS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("demo", ["tour_of_the_engine.py", "reproduce_threefold_table.py"])
+def test_demo_runs(demo):
+    src = str(Path(sphfano.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = Path(__file__).parents[1] / "demos" / demo
+    r = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
 
 
 def test_cli_catalog_csv(tmp_path):

@@ -312,6 +312,26 @@ def test_integrate_unimodular_equivariance():
         assert integrate(transform_polytope(M, P), f) == integrate(P, f.substitute([xs, ys]))
 
 
+def test_integrate_against_sympy_polytope_integrate():
+    from sympy import Rational
+    from sympy.abc import x, y
+    from sympy.geometry import Polygon
+    from sympy.integrals.intpoly import polytope_integrate
+
+    rng = random.Random(19)
+    for _ in range(12):
+        P = random_lattice_polygon_containing_origin(rng)
+        r = rng.randint
+        f = Polynomial.affine(2, r(-3, 3), (r(-3, 3), F(1, r(1, 3))))
+        f = f * Polynomial.affine(2, F(r(-5, 5), 2), (r(-2, 2), r(-2, 2)))
+        expr = sum(
+            Rational(c.numerator, c.denominator) * x ** e[0] * y ** e[1] for e, c in f.coeffs.items()
+        )
+        # polytope_integrate takes the clockwise orientation as positive
+        clockwise = Polygon(*reversed(P.vertices))
+        assert integrate(P, f) == F(str(polytope_integrate(clockwise, expr)))
+
+
 # -- snf ---------------------------------------------------------------------
 
 
@@ -357,6 +377,19 @@ def test_snf_random():
             for d in diag:
                 prod *= d
             assert prod == abs(det)
+
+
+def test_snf_diagonal_against_sympy():
+    from sympy import Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(23)
+    for _ in range(60):
+        m, n = rng.randint(1, 5), rng.randint(1, 3)
+        A = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m))
+        S = smith_normal_form(Matrix(A), domain=ZZ)
+        assert check_snf(A) == [abs(int(S[i, i])) for i in range(min(m, n))]
 
 
 def _det(A):

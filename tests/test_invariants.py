@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from sphfano import invariants
 from sphfano.core import check_reflexive
 from sphfano.geometry import RationalPolytope, convex_hull, transform_polytope
 from sphfano.invariants import (
     SEMISTABLE,
     STABLE,
     UNSTABLE,
+    all_invariants,
     degree,
     dh_barycenter,
     divisor_basis,
@@ -51,6 +53,54 @@ def test_divisor_basis_requires_reflexive():
     data = build("SL2sq.diagSL2", {})
     with pytest.raises(NotReflexive):
         divisor_basis(data, seg(-1, 1))
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        picard_presentation,
+        picard_rank,
+        fano_index,
+        moment_polytope,
+        degree,
+        dh_barycenter,
+        k_verdict,
+        all_invariants,
+    ],
+)
+def test_other_invariants_require_reflexive(fn):
+    with pytest.raises(NotReflexive):
+        fn(build("SL2sq.diagSL2", {}), seg(-1, 1))
+
+
+def test_all_invariants_is_one_pass(monkeypatch):
+    calls = {"check_reflexive": 0, "dual": 0, "snf": 0}
+
+    def counted(name):
+        original = getattr(invariants, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(invariants, name, counted(name))
+    # the plane blown up in two points, a polygon no other test uses
+    P = convex_hull([(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)], 2)
+    inv = all_invariants(build("toric", {"n": 2}), P)
+    assert (inv["pic"], inv["degree"], inv["fano_index"]) == (3, 7, 1)
+    assert calls == {"check_reflexive": 1, "dual": 1, "snf": 1}
+
+
+def test_noether_formula_on_the_toric_surfaces():
+    # a smooth toric surface with n rays has K^2 = 12 - n
+    data = build("toric", {"n": 2})
+    surfaces = [cp.polytope for cp in enumerate_polytopes("toric", {"n": 2})]
+    assert len(surfaces) == 5
+    for P in surfaces:
+        assert degree(data, P) == 12 - len(P.vertices)
 
 
 def test_picard_rank_examples():

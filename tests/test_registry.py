@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sphfano.core import CombinatorialData
+from sphfano.core import Color, CombinatorialData, dh
 from sphfano.geometry import primitive
 from sphfano.registry import (
     FINITE,
@@ -16,6 +16,8 @@ from sphfano.registry import (
     TRIVIAL,
     ParamsOutOfDomain,
     UnknownFamily,
+    UnsupportedSymmetry,
+    _rank2_group,
     build,
     data_preserving_permutation,
     families,
@@ -162,6 +164,37 @@ def test_symmetry_groups_match_recorded_table():
             "reflection": g.reflection,
         }
         assert derived == e
+
+
+def _synthetic(*rhos):
+    return CombinatorialData(
+        rank=2,
+        dim=3,
+        sigma=(),
+        colors=tuple(Color(f"D{i}", rho, 1) for i, rho in enumerate(rhos)),
+        f=dh(1),
+        kappa_expr="0",
+        m_basis=("e1", "e2"),
+        group_name="synthetic",
+        space_type="synthetic",
+    )
+
+
+@pytest.mark.parametrize(
+    "rhos",
+    [
+        ((1, 0), (-1, 0)),  # ((-1,0),(0,1)) swaps the two colors
+        ((0, 1),),  # anchors on the y-axis
+    ],
+)
+def test_one_line_anchors_outside_the_shear_class_raise(rhos):
+    with pytest.raises(UnsupportedSymmetry):
+        _rank2_group(_synthetic(*rhos))
+
+
+def test_one_line_anchors_on_the_x_axis_give_shears():
+    g = _rank2_group(_synthetic((1, 0)))
+    assert (g.kind, g.fixed_vector, g.reflection) == (SHEAR, (1, 0), True)
 
 
 def test_rank1_negation_admissibility():
