@@ -8,12 +8,16 @@ the candidates, with each pairwise test made once and the half-plane tests
 as bitmasks (`_SuccessorGraph`).  The pairwise test is the facet condition
 C4 of `check_reflexive`, through the same `facet_violation`, so no edge that
 cannot be a facet of an accepted polytope is walked.  Only closed cycles
-become polytopes for the reflexivity check.  The result is certified
-afterwards: no accepted polytope may touch the box, so enlarging the box
-provably changes nothing.
+become polytopes for the reflexivity check.
 
-Accepted polytopes are reduced modulo the family's admissible symmetry group
-to canonical representatives.
+Where the family's group is infinite, the walk visits only normalised
+copies.  For the full unimodular group it is rooted at the edge
+(1,0) -> (0,1), which every canonical representative has; for the shears it
+drops each closed cycle whose leftmost top vertex is outside [0, h), h the
+height, the normalisation of the canonical form.  Every other walk, the
+shears' included, roots each cycle at its lexicographic minimum.  Accepted polytopes are reduced modulo
+the family's admissible symmetry group to canonical representatives, and the
+result is certified afterwards: no canonical representative may touch the box.
 """
 
 from __future__ import annotations
@@ -119,6 +123,8 @@ def canonical_form(
         return CanonicalPolytope(P, 1)
     if group.kind == FULL_UNIMODULAR:
         cands = list(_full_unimodular_candidates(P))
+        if not cands:
+            raise CanonicalFormError("no edge of the polytope is a lattice basis")
         best = min(cands, key=_store_key)
         stab = sum(1 for Q in cands if Q == P)
         return CanonicalPolytope(best, max(1, stab))
@@ -260,8 +266,8 @@ class _SuccessorGraph:
 def _closable_cycles(g: _SuccessorGraph, seq, allowed, inner, max_vertices):
     """Every closable extension of the vertex sequence seq, depth first.
 
-    `allowed` is the mask of candidates strictly left of every committed edge
-    and after seq[0] in lexicographic order, so seq[0] stays the minimum; it
+    `allowed` is the mask of candidates strictly left of every committed edge,
+    and for a walk rooted at its lexicographic minimum also after seq[0]; it
     subsumes the turn test and excludes every vertex of seq, each of which lies
     on a committed edge.  `inner` is the mask of seq[:-1].  The walk yields seq
     itself (mutated afterwards) whenever the edge seq[-1] -> seq[0] closes it
@@ -290,6 +296,13 @@ def _closable_cycles(g: _SuccessorGraph, seq, allowed, inner, max_vertices):
         seq.pop()
 
 
+def _shear_normalised(pts):
+    """Whether the leftmost top vertex lies in [0, h), h the height, as in the
+    canonical form of the shear families; scaling the points changes nothing."""
+    h = max(y for _, y in pts)
+    return 0 <= min(x for x, y in pts if y == h) < h
+
+
 def enumerate_rank2(
     data: CombinatorialData,
     cfg: EnumConfig | None = None,
@@ -301,11 +314,26 @@ def enumerate_rank2(
         raise RankMismatch("enumerate_rank2 needs rank-2 data")
     cfg = cfg or EnumConfig()
     cands = _candidate_points(data, cfg)
+    if group.kind == FULL_UNIMODULAR:
+        # every canonical representative has the counterclockwise edge
+        # e1 -> e2 (`_full_unimodular_candidates`), so walk only polygons
+        # with that facet: their vertices satisfy x + y <= 1
+        cands = [q for q in cands if q[0] + q[1] <= 1]
     g = _SuccessorGraph(data, cands)
+    if group.kind == FULL_UNIMODULAR:
+        e1, e2 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+        if e1 not in cands or e2 not in cands:
+            raise CanonicalFormError("full unimodular families need e1 and e2 as candidates")
+        i, j = cands.index(e1), cands.index(e2)
+        roots = [([i, j], g.left(i, j), 1 << i)] if g.succ[i] >> j & 1 else []
+    else:
+        # one root per lexicographic minimum: the candidates after it
+        roots = [([i0], (1 << len(cands)) - (2 << i0), 0) for i0 in range(len(cands))]
     accepted = []
-    for i0 in range(len(cands)):
-        after = (1 << len(cands)) - (2 << i0)  # the candidates i0+1, i0+2, ...
-        for cycle in _closable_cycles(g, [i0], after, 0, cfg.max_vertices):
+    for seq, allowed, inner in roots:
+        for cycle in _closable_cycles(g, seq, allowed, inner, cfg.max_vertices):
+            if group.kind == SHEAR and not _shear_normalised([g.pts[i] for i in cycle]):
+                continue
             P = RationalPolytope(2, vertices_ccw_store([cands[i] for i in cycle]))
             if check_reflexive(data, P).ok:
                 accepted.append(P)

@@ -268,6 +268,14 @@ def test_cli_catalog_csv(tmp_path):
     assert header == "identifier,dim,rank,family,params,pic,degree,fano_index,ke,group,type"
 
 
+def test_cli_catalog_under_python_O_matches_in_process_build():
+    # python -O strips asserts and sets __debug__ = False; the emitted
+    # dims 2-3 catalog must not depend on either
+    r = run_cli("catalog", "--dim", "2", "--dim", "3", "--format", "csv", flags=("-O",))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == emit(build_catalog(dims=(2, 3)), "csv")
+
+
 DIM4_NAMED_VARIETIES = {
     # identifier: (pic, degree, ke) for records whose underlying variety the
     # source names explicitly; degrees follow the product formula

@@ -1,9 +1,13 @@
 """The combinatorial-data model and the four-condition polytope checker."""
 
+import json
 import random
 from fractions import Fraction as F
+from functools import reduce
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphfano.core import (
     BOUNDARY,
@@ -25,9 +29,12 @@ from sphfano.geometry import (
     convex_hull,
     det2,
     lattice_points,
+    mat_identity,
+    mat_mul,
     transform_polytope,
 )
-from sphfano.registry import build
+from sphfano.registry import FINITE, FULL_UNIMODULAR, SHEAR, build, symmetry_group
+from test_acceptance import _moved
 
 
 def seg(lo, hi):
@@ -260,6 +267,55 @@ def test_checker_unimodular_invariance():
             check_reflexive(data, bad).ok
             == check_reflexive(_transform_data(data, M, Minv_t), transform_polytope(M, bad)).ok
         )
+
+
+# published rank-2 polygons, each accepted for its family instance
+PUBLISHED_RANK2 = [
+    (e["family"], e["params"], [tuple(F(c) for c in v) for v in e["vertices"]])
+    for e in json.loads(
+        resources.files("sphfano").joinpath("data/identifier_map.json").read_text()
+    )
+    if len(e["vertices"][0]) == 2
+]
+
+# GL2(Z) is generated by the quarter turn, the unit shear and a mirror
+_GENERATORS = (((0, -1), (1, 0)), ((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (0, -1)))
+unimodular = st.lists(st.sampled_from(_GENERATORS), max_size=8).map(
+    lambda gens: reduce(mat_mul, gens, mat_identity(2))
+)
+
+
+@st.composite
+def instance_and_polygon(draw):
+    """A published polygon of a rank-2 instance, hulled with up to two extra
+    small points, so that the draws mix accepted polygons and near misses."""
+    fid, params, verts = draw(st.sampled_from(PUBLISHED_RANK2))
+    extra = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=2))
+    return fid, params, convex_hull(verts + extra, 2)
+
+
+def group_element(group):
+    if group.kind == FULL_UNIMODULAR:
+        return unimodular
+    if group.kind == SHEAR:
+        signs = (1, -1) if group.reflection else (1,)
+        return st.builds(lambda k, s: ((1, k), (0, s)), st.integers(-3, 3), st.sampled_from(signs))
+    if group.kind == FINITE:
+        return st.sampled_from(group.matrices)
+    return st.just(mat_identity(2))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(instance_and_polygon(), unimodular, st.data())
+def test_checker_is_gl2z_equivariant(instance, M, draw):
+    fid, params, P = instance
+    data = build(fid, params)
+    ok = check_reflexive(data, P).ok
+    # moving the data and the polygon together keeps the verdict
+    assert check_reflexive(_moved(data, M), transform_polytope(M, P)).ok == ok
+    # an element of the family's group moves the polygon alone
+    g = draw.draw(group_element(symmetry_group(fid, params)))
+    assert check_reflexive(data, transform_polytope(g, P)).ok == ok
 
 
 def test_json_roundtrip():

@@ -1,5 +1,6 @@
 """Enumeration: published per-family counts, canonical forms, oracle agreement."""
 
+import dataclasses
 import gc
 from fractions import Fraction as F
 
@@ -192,6 +193,8 @@ def test_oracle_agreement(fid, params, cfg):
         ("SL2sq.diagB", {}),
         ("SL2sq.PI-N.diag", {"a2": 1}),
         ("SL2sq.TxT", {}),
+        ("toric", {"n": 2}),
+        ("SL2xGm.horo", {"n": 2, "a1": 1}),
     ],
 )
 def test_box_doubling_stability(fid, params):
@@ -247,14 +250,15 @@ def test_rank1_enumeration_is_exhaustive_over_candidates():
 @pytest.mark.parametrize(
     "fid,params,calls,accepts,n_classes",
     [
-        ("toric", {"n": 2}, 647, 647, 5),
-        ("SL2xGm.horo", {"n": 2, "a1": 1}, 650, 216, 16),
+        ("toric", {"n": 2}, 12, 12, 5),
+        ("SL2xGm.horo", {"n": 2, "a1": 1}, 169, 23, 16),
         ("SL2sq.horo2", {"a1": 1, "a2": 0, "b2": 1}, 670, 66, 39),
     ],
 )
 def test_walk_search_shape(monkeypatch, fid, params, calls, accepts, n_classes):
     # exact counters of the default-box walk: which closed cycles reach the
-    # reflexivity check, and how many pass
+    # reflexivity check, and how many pass; the full unimodular and shear
+    # instances walk normalised polygons only
     verdicts = []
 
     def counting(data, P):
@@ -287,3 +291,18 @@ def test_config_and_canonical_form_fail_loudly():
     P = convex_hull([(1, 0), (0, 1), (-1, 0), (0, -1)], 2)
     with pytest.raises(CanonicalFormError):
         canonical_form(data, P, group=SymmetryGroup(SHEAR, fixed_vector=(0, 1)), check=False)
+
+
+def test_full_unimodular_normalisation_fails_loudly():
+    # every edge of this triangle has determinant 3, so no position of it
+    # has the edge e1 -> e2 that the full unimodular walk pins
+    data = build("toric", {"n": 2})
+    group = symmetry_group("toric", {"n": 2})
+    P = convex_hull([(2, 1), (-1, 1), (-1, -2)], 2)
+    with pytest.raises(CanonicalFormError):
+        canonical_form(data, P, group=group, check=False)
+    # a spherical root that puts e1 outside the valuation cone leaves the
+    # pinned edge without a start
+    data = dataclasses.replace(data, sigma=((1, 1),))
+    with pytest.raises(CanonicalFormError):
+        enumerate_rank2(data, EnumConfig(), group=group)
