@@ -25,7 +25,8 @@ from .core import check_reflexive
 from .geometry import RationalPolytope, convex_hull, parse_vec, rat_str
 from .invariants import all_invariants
 from .registry import ParamsOutOfDomain, UnknownFamily, build, families, registry_json
-from .search import BoundTooTight, CanonicalFormError, enumerate_polytopes, canonical_form
+from .search import BoundTooTight, CanonicalFormError, PairTestMismatch
+from .search import enumerate_polytopes, canonical_form
 from .registry import symmetry_group
 
 
@@ -188,7 +189,7 @@ def main(argv=None) -> int:
     except (UnknownFamily, ParamsOutOfDomain, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BoundTooTight, CanonicalFormError, AssertionError) as exc:
+    except (BoundTooTight, CanonicalFormError, PairTestMismatch, AssertionError) as exc:
         print(f"internal assertion: {exc}", file=sys.stderr)
         return 3
 

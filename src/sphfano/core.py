@@ -8,21 +8,24 @@ density as an explicit product of affine forms.
 
 `check_reflexive` evaluates, literally and exactly, the four conditions
 defining the polytopes that classify locally factorial Fano equivariant
-embeddings.
+embeddings.  It scales the polytope and the color points to integers once
+and tests C1, C2 and C4 on the integer kernel whose `edge_violation` (C2
+and C4 on one edge) is the pair test of the rank-2 walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .geometry import (
     Polynomial,
     RationalPolytope,
     is_lattice_basis,
+    primitive,
     rat_str,
     parse_rat,
-    within_facets,
 )
 
 INTERIOR = "Interior"
@@ -146,13 +149,12 @@ class Verdict:
 
 
 def valuation_cone_position(data: CombinatorialData, x) -> str:
-    """Position of x relative to the cone {y : <sigma, y> <= 0 for all sigma}."""
-    x = tuple(Fraction(c) for c in x)
+    """Position of x, rational or scaled, relative to {y : <sigma, y> <= 0}."""
     if len(x) != data.rank:
         raise RankMismatch(f"point of length {len(x)} against rank {data.rank}")
     on_boundary = False
     for s in data.sigma:
-        v = sum(Fraction(a) * b for a, b in zip(s, x))
+        v = sum(a * b for a, b in zip(s, x))
         if v > 0:
             return OUTSIDE
         if v == 0:
@@ -169,39 +171,59 @@ def cone_over_face_meets_interior(data: CombinatorialData, face_vertices) -> boo
 
     Rank 1: the facet is one point and the test is whether its ray lies in the
     open cone.  Rank 2: every ray of the cone over the edge [v1, v2] passes
-    through the segment, so the test reduces to a rational interval
-    intersection, one interval per spherical root.
+    through the segment, so the test reduces to an interval intersection, one
+    interval per spherical root.  Bounds n/d (d > 0) are compared by
+    cross-multiplication: exact on rational and on scaled integer points.
     """
     if not data.sigma:
         return True
     if len(face_vertices) == 1:
         return valuation_cone_position(data, face_vertices[0]) == INTERIOR
     v1, v2 = face_vertices
-    lo, hi = Fraction(0), Fraction(1)
+    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
     lo_strict = hi_strict = False
     for s in data.sigma:
-        a = sum(Fraction(si) * c for si, c in zip(s, v1))
-        b = sum(Fraction(si) * c for si, c in zip(s, v2))
-        # need a + t(b - a) < 0 on [0, 1]
-        d = b - a
+        a = sum(si * c for si, c in zip(s, v1))
+        d = sum(si * c for si, c in zip(s, v2)) - a
+        # need a + t d < 0 on [0, 1]
         if d == 0:
             if a >= 0:
                 return False
             continue
-        t0 = -a / d
         if d > 0:
-            # t < t0
-            if t0 < hi or (t0 == hi and not hi_strict):
-                hi, hi_strict = t0, True
+            # t < -a / d
+            if -a * hi_d <= hi_n * d:
+                hi_n, hi_d, hi_strict = -a, d, True
         else:
-            # t > t0
-            if t0 > lo or (t0 == lo and not lo_strict):
-                lo, lo_strict = t0, True
-    if lo > hi:
-        return False
-    if lo == hi and (lo_strict or hi_strict):
-        return False
-    return True
+            # t > a / -d
+            if a * lo_d >= -lo_n * d:
+                lo_n, lo_d, lo_strict = a, -d, True
+    c = lo_n * hi_d - hi_n * lo_d
+    return c < 0 or (c == 0 and not (lo_strict or hi_strict))
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel: conditions C1, C2 and C4 on points scaled to integers
+
+
+def scale_to_ints(data: CombinatorialData, points):
+    """(S, points * S, color points * S), S the lcm of the points' denominators
+    and the colors' m, so that every scaled coordinate is an integer."""
+    S = lcm(*(c.denominator for p in points for c in p), *(c.m for c in data.colors))
+    pts = [tuple(c.numerator * (S // c.denominator) for c in p) for p in points]
+    return S, pts, [tuple(r * S // c.m for r in c.rho) for c in data.colors]
+
+
+def _edge(p, q):
+    """(outward normal, support, vertices) of the edge p -> q of a
+    counterclockwise polygon; the support is positive iff 0 lies strictly left."""
+    return (q[1] - p[1], p[0] - q[0]), p[0] * q[1] - p[1] * q[0], (p, q)
+
+
+def _outside(facet, x) -> bool:
+    """Whether x lies strictly outside the half-space <normal, x> <= support."""
+    n, support, _ = facet
+    return (n[0] * x[0] if len(x) == 1 else n[0] * x[0] + n[1] * x[1]) > support
 
 
 def _on_face(face_vertices, q) -> bool:
@@ -213,32 +235,46 @@ def _on_face(face_vertices, q) -> bool:
     return dx * ry == dy * rx and 0 <= dx * rx + dy * ry <= dx * dx + dy * dy
 
 
-def facet_violation(data: CombinatorialData, face_vertices, color_points):
+def facet_violation(data: CombinatorialData, face, colors, scale: int):
     """Condition C4 on one facet: None, or the violated condition and its detail.
 
-    The facet is given by its vertices alone, so the walk applies the same
-    test to a candidate edge before any polygon exists; `color_points` are
-    `data.color_points()`, computed once by the caller.  Only facets whose
-    cone meets the open valuation cone are constrained.
+    `face` holds the facet's vertices and `colors` the color points, all
+    scaled by `scale` to integers (`scale_to_ints`).  The facet is given by
+    its vertices alone, so the walk applies the same test to a candidate edge
+    before any polygon exists.  Only facets whose cone meets the open
+    valuation cone are constrained.
     """
-    if not cone_over_face_meets_interior(data, face_vertices):
+    if not cone_over_face_meets_interior(data, face):
         return None
-    on_face = [
-        (c.rho, q) for c, q in zip(data.colors, color_points) if _on_face(face_vertices, q)
-    ]
-    rhos = [rho for rho, _ in on_face]
-    if any(rhos.count(rho) > 1 for rho in rhos):
-        return "C4a", "colors with equal rho on a constrained facet"
-    locs = [q for _, q in on_face]
-    if any(q not in face_vertices for q in locs):
+    rhos, locs = [], []
+    for c, q in zip(data.colors, colors):
+        if _on_face(face, q):
+            if c.rho in rhos:
+                return "C4a", "colors with equal rho on a constrained facet"
+            rhos.append(c.rho)
+            locs.append(q)
+    if any(q not in face for q in locs):
         return "C4b", "a color point lies on the facet but is not a vertex"
-    rest = [v for v in face_vertices if v not in locs]
-    if any(c.denominator != 1 for v in rest for c in v):
-        return "C4b", "non-integral non-color vertex"
-    basis = rhos + [tuple(int(c) for c in v) for v in rest]
+    basis = rhos  # the colors' rho, then the remaining vertices
+    for v in face:
+        if v not in locs:
+            if any(c % scale for c in v):
+                return "C4b", "non-integral non-color vertex"
+            basis.append(tuple(c // scale for c in v))
     if not is_lattice_basis(basis):
         return "C4b", f"{basis} is not a lattice basis"
     return None
+
+
+def edge_violation(data: CombinatorialData, p, q, colors, scale: int):
+    """C2 and C4 on the counterclockwise edge p -> q, points scaled as for
+    `facet_violation`: a polygon holds a point exactly when the point lies
+    weakly left of each of its edges."""
+    edge = _edge(p, q)
+    for c, x in zip(data.colors, colors):
+        if _outside(edge, x):
+            return "C2", f"color {c.label} lies right of the edge"
+    return facet_violation(data, edge[2], colors, scale)
 
 
 def check_reflexive(data: CombinatorialData, P: RationalPolytope) -> Verdict:
@@ -249,32 +285,35 @@ def check_reflexive(data: CombinatorialData, P: RationalPolytope) -> Verdict:
     color point.  C4: on each facet whose cone meets the open valuation cone,
     the colors lying on the facet have pairwise distinct rho (C4a), all lie
     at vertices, and their rho vectors together with the remaining vertices
-    form a basis of the lattice (C4b).
+    form a basis of the lattice (C4b).  The violation texts print the
+    rational points; the tests run on P scaled to integers.
     """
     if P.rank != data.rank:
         raise RankMismatch(f"polytope rank {P.rank} against data rank {data.rank}")
     violations: list[tuple[str, str]] = []
-    fs = P.facets()
-    origin = (Fraction(0),) * data.rank
-    if not within_facets(fs, origin, strict=True):
+    scale, verts, colors = scale_to_ints(data, P.vertices)
+    if P.rank == 1:
+        fs = [((-1,), -verts[0][0], verts[:1]), ((1,), verts[1][0], verts[1:])]
+    else:
+        fs = [_edge(p, q) for p, q in zip(verts, verts[1:] + verts[:1])]
+    if any(support <= 0 for _, support, _ in fs):
         violations.append(("C1", "origin is not strictly interior"))
 
-    pts = data.color_points()
-    for c, q in zip(data.colors, pts):
-        if not within_facets(fs, q):
-            violations.append(("C2", f"color {c.label} point {q} outside the polytope"))
+    for c, q in zip(data.colors, colors):
+        if any(_outside(f, q) for f in fs):
+            violations.append(("C2", f"color {c.label} point {c.point()} outside the polytope"))
 
-    color_locations = set(pts)
-    for v in P.vertices:
-        if v in color_locations:
+    color_locations = set(colors)
+    for v, w in zip(P.vertices, verts):
+        if w in color_locations:
             continue
-        if any(c.denominator != 1 for c in v):
+        if any(c % scale for c in w):
             violations.append(("C3", f"vertex {v} is neither integral nor a color point"))
-        elif valuation_cone_position(data, v) == OUTSIDE:
+        elif valuation_cone_position(data, w) == OUTSIDE:
             violations.append(("C3", f"integral vertex {v} outside the valuation cone"))
 
-    for f in fs:
-        found = facet_violation(data, [P.vertices[i] for i in f.incident_vertices], pts)
+    for n, _, f in fs:
+        found = facet_violation(data, f, colors, scale)
         if found:
-            violations.append((found[0], f"facet {f.normal}: {found[1]}"))
+            violations.append((found[0], f"facet {primitive(n)}: {found[1]}"))
     return Verdict(not violations, tuple(violations))

@@ -69,11 +69,10 @@ def is_lattice_basis(vs) -> bool:
         return False
     if any(c.denominator != 1 for v in vs for c in v):
         return False
-    ints = [[int(c) for c in v] for v in vs]
     if r == 1:
-        d = ints[0][0]
+        d = vs[0][0]
     else:
-        d = ints[0][0] * ints[1][1] - ints[0][1] * ints[1][0]
+        d = vs[0][0] * vs[1][1] - vs[0][1] * vs[1][0]
     return d in (1, -1)
 
 
@@ -106,9 +105,6 @@ class RationalPolytope:
             raise DegenerateInput(
                 "a polygon needs three vertices, got " + " ".join(map(vec_str, self.vertices))
             )
-
-    def facets(self) -> tuple[Facet, ...]:
-        return facets(self)
 
     def contains(self, x: Vec, strict: bool = False) -> bool:
         return contains(self, x, strict)
@@ -175,13 +171,8 @@ def facets(P: RationalPolytope) -> tuple[Facet, ...]:
 
 
 def contains(P: RationalPolytope, x, strict: bool = False) -> bool:
-    return within_facets(facets(P), x, strict)
-
-
-def within_facets(fs, x, strict: bool = False) -> bool:
-    """`contains` against precomputed facets, for callers testing many points."""
     x = tuple(Fraction(c) for c in x)
-    for f in fs:
+    for f in facets(P):
         v = sum(n * c for n, c in zip(f.normal, x))
         if v > f.support or (strict and v == f.support):
             return False

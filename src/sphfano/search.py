@@ -5,10 +5,11 @@ depth-first walk over strictly counterclockwise vertex sequences around the
 origin, drawn from the integer points of a search box together with the
 color points.  The walk runs in integer arithmetic on a successor graph of
 the candidates, with each pairwise test made once and the half-plane tests
-as bitmasks (`_SuccessorGraph`).  The pairwise test is the facet condition
-C4 of `check_reflexive`, through the same `facet_violation`, so no edge that
-cannot be a facet of an accepted polytope is walked.  Only closed cycles
-become polytopes for the reflexivity check.
+as bitmasks (`_SuccessorGraph`).  The pairwise test is `edge_violation`,
+conditions C2 and C4 of `check_reflexive` on the candidates scaled to
+integers, through the same kernel, so every closed cycle is reflexive by
+construction.  Only closed cycles become polytopes; each still passes the
+reflexivity check, and one that fails raises `PairTestMismatch`.
 
 Where the family's group is infinite, the walk visits only normalised
 copies.  For the full unimodular group it is rooted at the edge
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd as math_gcd, lcm
+from math import gcd as math_gcd
 
 from .core import (
     BOUNDARY,
@@ -33,7 +34,8 @@ from .core import (
     CombinatorialData,
     RankMismatch,
     check_reflexive,
-    facet_violation,
+    edge_violation,
+    scale_to_ints,
     valuation_cone_position,
 )
 from .geometry import (
@@ -59,6 +61,11 @@ class InvalidConfig(ValueError):
 
 class CanonicalFormError(RuntimeError):
     """A polytope or group breaks an assumption the canonical form relies on."""
+
+
+class PairTestMismatch(RuntimeError):
+    """A closed cycle of the walk fails `check_reflexive`: the pair tests and
+    the checker disagree."""
 
 
 @dataclass(frozen=True)
@@ -224,27 +231,21 @@ class _SuccessorGraph:
     """The candidates as scaled integer points, with the walk's pairwise tests.
 
     Candidate i keeps its index in the lexicographic order of the rational
-    points; scaling by the lcm of the denominators preserves that order.
+    points; scaling by a common positive integer preserves that order.
     `succ[i]` is the bitmask of the successors j: the origin lies strictly
-    left of i -> j (cross(v_i, v_j) > 0) and the edge passes `facet_violation`,
-    evaluated once per ordered pair.  `left(i, j)` is the bitmask of the
-    candidates strictly left of the line i -> j.
+    left of i -> j (cross(v_i, v_j) > 0, C1) and the edge passes
+    `edge_violation` (C2 and C4), evaluated once per ordered pair on the
+    scaled integers.  `left(i, j)` is the bitmask of the candidates strictly
+    left of the line i -> j.
     """
 
     def __init__(self, data: CombinatorialData, cands):
-        scale = 1
-        for q in cands:
-            for c in q:
-                scale = lcm(scale, c.denominator)
-        self.pts = pts = [(int(x * scale), int(y * scale)) for x, y in cands]
-        color_pts = data.color_points()
+        scale, self.pts, colors = scale_to_ints(data, cands)
         self.succ = []
-        for i, (xi, yi) in enumerate(pts):
+        for p in self.pts:
             mask = 0
-            for j, (xj, yj) in enumerate(pts):
-                if xi * yj - yi * xj > 0 and not facet_violation(
-                    data, (cands[i], cands[j]), color_pts
-                ):
+            for j, q in enumerate(self.pts):
+                if p[0] * q[1] - p[1] * q[0] > 0 and not edge_violation(data, p, q, colors, scale):
                     mask |= 1 << j
             self.succ.append(mask)
         self._left = {}
@@ -335,8 +336,10 @@ def enumerate_rank2(
             if group.kind == SHEAR and not _shear_normalised([g.pts[i] for i in cycle]):
                 continue
             P = RationalPolytope(2, vertices_ccw_store([cands[i] for i in cycle]))
-            if check_reflexive(data, P).ok:
-                accepted.append(P)
+            verdict = check_reflexive(data, P)
+            if not verdict.ok:
+                raise PairTestMismatch(f"closed cycle {P.vertices} fails {verdict.violations}")
+            accepted.append(P)
 
     found = {}
     for P in accepted:

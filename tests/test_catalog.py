@@ -1,11 +1,13 @@
 """Catalog assembly, identifier mapping, emission formats and verification."""
 
 import csv
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,16 @@ from sphfano.search import InvalidConfig
 def test_identifier_map_loads_and_is_injective():
     m = identifier_map()
     assert len(m) == len(set(m.values())) == 319
+
+
+def test_identifier_map_is_fresh():
+    # the shipped map is exactly what the transcription tool generates
+    path = Path(__file__).parents[1] / "tools" / "build_identifier_map.py"
+    spec = importlib.util.spec_from_file_location("build_identifier_map", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    shipped = resources.files("sphfano").joinpath("data/identifier_map.json").read_text()
+    assert tool.identifier_map_text() == shipped
 
 
 def test_identifier_sort_key():

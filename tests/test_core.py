@@ -1,10 +1,13 @@
 """The combinatorial-data model and the four-condition polytope checker."""
 
+import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,9 @@ from sphfano.core import (
     color_points,
     cone_over_face_meets_interior,
     dh,
+    edge_violation,
+    facet_violation,
+    scale_to_ints,
     valuation_cone_position,
 )
 from sphfano.geometry import (
@@ -33,7 +39,7 @@ from sphfano.geometry import (
     mat_mul,
     transform_polytope,
 )
-from sphfano.registry import FINITE, FULL_UNIMODULAR, SHEAR, build, symmetry_group
+from sphfano.registry import FINITE, FULL_UNIMODULAR, SHEAR, build, families, symmetry_group
 from test_acceptance import _moved
 
 
@@ -316,6 +322,49 @@ def test_checker_is_gl2z_equivariant(instance, M, draw):
     # an element of the family's group moves the polygon alone
     g = draw.draw(group_element(symmetry_group(fid, params)))
     assert check_reflexive(data, transform_polytope(g, P)).ok == ok
+
+
+def test_checker_reproduces_recorded_verdicts():
+    # seeded polytopes over all 90 instances (tools/record_check_verdicts.py),
+    # recorded with the rational checker: verdicts and violation texts
+    recorded = json.loads((Path(__file__).parent / "data" / "check_verdicts.json").read_text())
+    assert len(recorded) == 360
+    for e in recorded:
+        vertices = tuple(tuple(F(c) for c in v) for v in e["vertices"])
+        v = check_reflexive(build(e["family"], e["params"]), RationalPolytope(len(vertices[0]), vertices))
+        assert (v.ok, [list(x) for x in v.violations]) == (e["ok"], e["violations"]), e
+
+
+def _kernel_results(data, ints, colors, S, k):
+    P = [tuple(k * c for c in p) for p in ints]
+    C = [tuple(k * c for c in q) for q in colors]
+    if data.rank == 1:
+        return [facet_violation(data, (p,), C, k * S) for p in P]
+    return [edge_violation(data, p, q, C, k * S) for p in P for q in P if p[0] * q[1] > p[1] * q[0]]
+
+
+def test_kernel_is_scale_invariant():
+    # the integer kernel on the nonzero points of a small box and the color
+    # points, scaled by S, 2S and 3S, over every instance: the walk's pair
+    # test (rank 2) or the facet test (rank 1) gives identical results, and
+    # the cone test agrees on rationals and on scaled integers
+    seen = Counter()
+    for spec in families(rank_filter=[1, 2]):
+        for params in spec.params_list():
+            data = build(spec.id, params)
+            box = {tuple(map(F, p)) for p in itertools.product(range(-2, 3), repeat=data.rank) if any(p)}
+            pts = sorted(box | {q for q in data.color_points() if any(q)})
+            S, ints, colors = scale_to_ints(data, pts)
+            results = [_kernel_results(data, ints, colors, S, k) for k in (1, 2, 3)]
+            assert results[0] == results[1] == results[2], (spec.id, params)
+            seen.update(r and r[0] for r in results[0])
+            faces = itertools.permutations(range(len(pts)), data.rank)
+            for face in faces:
+                assert cone_over_face_meets_interior(
+                    data, [pts[i] for i in face]
+                ) == cone_over_face_meets_interior(data, [ints[i] for i in face])
+    # every outcome of the kernel occurs
+    assert set(seen) == {None, "C2", "C4a", "C4b"}
 
 
 def test_json_roundtrip():

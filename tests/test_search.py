@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import sphfano.search as search
+from sphfano.cli import main
 from sphfano.core import check_reflexive
 from sphfano.geometry import RationalPolytope, convex_hull, transform_polytope
 from sphfano.registry import SHEAR, SymmetryGroup, build, symmetry_group
@@ -16,6 +17,7 @@ from sphfano.search import (
     EnumConfig,
     InvalidConfig,
     NotReflexive,
+    PairTestMismatch,
     brute_force_oracle,
     canonical_form,
     enumerate_polytopes,
@@ -251,14 +253,15 @@ def test_rank1_enumeration_is_exhaustive_over_candidates():
     "fid,params,calls,accepts,n_classes",
     [
         ("toric", {"n": 2}, 12, 12, 5),
-        ("SL2xGm.horo", {"n": 2, "a1": 1}, 169, 23, 16),
-        ("SL2sq.horo2", {"a1": 1, "a2": 0, "b2": 1}, 670, 66, 39),
+        ("SL2xGm.horo", {"n": 2, "a1": 1}, 23, 23, 16),
+        ("SL2sq.horo2", {"a1": 1, "a2": 0, "b2": 1}, 66, 66, 39),
     ],
 )
 def test_walk_search_shape(monkeypatch, fid, params, calls, accepts, n_classes):
     # exact counters of the default-box walk: which closed cycles reach the
-    # reflexivity check, and how many pass; the full unimodular and shear
-    # instances walk normalised polygons only
+    # reflexivity check, and how many pass; the pair tests make every closed
+    # cycle reflexive, and the full unimodular and shear instances walk
+    # normalised polygons only
     verdicts = []
 
     def counting(data, P):
@@ -270,6 +273,21 @@ def test_walk_search_shape(monkeypatch, fid, params, calls, accepts, n_classes):
     data = build(fid, params)
     found = enumerate_rank2(data, EnumConfig(), group=symmetry_group(fid, params))
     assert (len(verdicts), sum(verdicts), len(found)) == (calls, accepts, n_classes)
+
+
+def test_closure_rejected_by_the_checker_fails_loudly(monkeypatch, capsys):
+    # a closed cycle that check_reflexive rejects means the pair tests and
+    # the checker disagree: the walk must raise, not drop the cycle, and the
+    # CLI reports it as an internal error (exit 3)
+    def rejecting(data, P):
+        return dataclasses.replace(check_reflexive(data, P), ok=False)
+
+    monkeypatch.setattr(search, "check_reflexive", rejecting)
+    data = build("toric", {"n": 2})
+    with pytest.raises(PairTestMismatch):
+        enumerate_rank2(data, EnumConfig(), group=symmetry_group("toric", {"n": 2}))
+    assert main(["enumerate", "--family", "toric", "--params", "n=2"]) == 3
+    assert "closed cycle" in capsys.readouterr().err
 
 
 def test_walk_leaves_no_garbage():

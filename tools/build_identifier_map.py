@@ -10,6 +10,7 @@ possible color locations printed inside); those are reconstructed by the
 inverse unimodular map sending the color back to its standard position.
 
 Run from the repository root:  python3 tools/build_identifier_map.py
+`identifier_map_text()` returns the file's text without writing it.
 """
 
 import json
@@ -21,7 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sphfano.core import check_reflexive
-from sphfano.geometry import convex_hull, unimodular_inverse, transform_polytope
+from sphfano.geometry import RationalPolytope, convex_hull, unimodular_inverse, transform_polytope
 from sphfano.registry import build
 
 ENTRIES = []
@@ -484,24 +485,24 @@ for ident, verts in SL3_HORO2_VERTEX.items():
     poly(ident, "SL3.horo2", {"a1": 1}, verts)
 
 
-def main():
-    # sanity: every entry passes the reflexivity check for its family data
+def identifier_map_text() -> str:
+    """The text of identifier_map.json, after checking that every entry
+    passes the reflexivity check for its family data."""
     for e in ENTRIES:
         data = build(e["family"], e["params"])
         verts = [[Fraction(c) for c in v] for v in e["vertices"]]
         if data.rank == 1:
-            from sphfano.geometry import RationalPolytope
-
             P = RationalPolytope(1, tuple(sorted(tuple(v) for v in verts)))
         else:
             P = convex_hull(verts, 2)
         v = check_reflexive(data, P)
         assert v.ok, (e["id"], v.violations)
-    out = Path(__file__).resolve().parent.parent / "src" / "sphfano" / "data"
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "identifier_map.json"
-    with open(path, "w") as fh:
-        json.dump(ENTRIES, fh, indent=0)
+    return json.dumps(ENTRIES, indent=0)
+
+
+def main():
+    path = Path(__file__).resolve().parent.parent / "src" / "sphfano" / "data" / "identifier_map.json"
+    path.write_text(identifier_map_text())
     print(f"wrote {len(ENTRIES)} entries to {path}")
 
 
