@@ -358,8 +358,7 @@ def test_kernel_is_scale_invariant():
             results = [_kernel_results(data, ints, colors, S, k) for k in (1, 2, 3)]
             assert results[0] == results[1] == results[2], (spec.id, params)
             seen.update(r and r[0] for r in results[0])
-            faces = itertools.permutations(range(len(pts)), data.rank)
-            for face in faces:
+            for face in itertools.permutations(range(len(pts)), data.rank):
                 assert cone_over_face_meets_interior(
                     data, [pts[i] for i in face]
                 ) == cone_over_face_meets_interior(data, [ints[i] for i in face])
