@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
-from multiprocessing import Pool
 
 from .geometry import RationalPolytope, convex_hull, rat_str
 from .invariants import all_invariants
@@ -187,6 +186,8 @@ def build_catalog(dims=None, ranks=None, cfg=None, jobs=1, warn=None) -> Catalog
             jobs_list.append((spec.id, params, cfg))
 
     if jobs > 1:
+        # imported here, so that serial builds and checks do not load it
+        from multiprocessing import Pool
         with Pool(jobs) as pool:
             results = pool.map(_job, jobs_list, chunksize=1)
     else:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .geometry import (
     Polynomial,
@@ -26,6 +25,7 @@ from .geometry import (
     primitive,
     rat_str,
     parse_rat,
+    scaled_ints,
 )
 
 INTERIOR = "Interior"
@@ -209,8 +209,7 @@ def cone_over_face_meets_interior(data: CombinatorialData, face_vertices) -> boo
 def scale_to_ints(data: CombinatorialData, points):
     """(S, points * S, color points * S), S the lcm of the points' denominators
     and the colors' m, so that every scaled coordinate is an integer."""
-    S = lcm(*(c.denominator for p in points for c in p), *(c.m for c in data.colors))
-    pts = [tuple(c.numerator * (S // c.denominator) for c in p) for p in points]
+    S, pts = scaled_ints(points, *(c.m for c in data.colors))
     return S, pts, [tuple(r * S // c.m for r in c.rho) for c in data.colors]
 
 

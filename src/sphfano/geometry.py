@@ -1,8 +1,10 @@
 """Exact rational polytope primitives in one and two dimensions.
 
 All coordinates are `fractions.Fraction`; there is no floating point
-anywhere.  Polytopes are stored by their vertices in a canonical order so
-that equality of polytopes is equality of vertex tuples:
+anywhere.  The rank-2 kernels `integrate` and `transform_polytope` run on the
+vertices scaled to integers (`scaled_ints`) and return `Fraction`s.
+Polytopes are stored by their vertices in a canonical order so that equality
+of polytopes is equality of vertex tuples:
 
 * rank 1: ``(low, high)``
 * rank 2: strictly counterclockwise, starting from the lexicographically
@@ -51,6 +53,13 @@ def primitive(v: tuple[int, ...]) -> tuple[int, ...]:
     for c in v:
         g = math.gcd(g, abs(c))
     return tuple(c // g for c in v)
+
+
+def scaled_ints(points, *denominators) -> tuple[int, list[tuple[int, ...]]]:
+    """(S, points * S), S the lcm of the points' denominators and `denominators`,
+    so that every scaled coordinate is an integer."""
+    S = math.lcm(*(c.denominator for p in points for c in p), *denominators)
+    return S, [tuple(c.numerator * (S // c.denominator) for c in p) for p in points]
 
 
 def rational_primitive(v: Vec) -> tuple[int, ...]:
@@ -105,9 +114,6 @@ class RationalPolytope:
             raise DegenerateInput(
                 "a polygon needs three vertices, got " + " ".join(map(vec_str, self.vertices))
             )
-
-    def contains(self, x: Vec, strict: bool = False) -> bool:
-        return contains(self, x, strict)
 
 
 def convex_hull(points, rank: int) -> RationalPolytope:
@@ -279,13 +285,26 @@ class Polynomial:
         return f"Polynomial({self.rank}, {self.coeffs!r})"
 
 
-def _simplex_monomial_integral(a: int, b: int) -> Fraction:
-    # int over {u,v >= 0, u+v <= 1} of u^a v^b = a! b! / (a+b+2)!
-    return Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b + 2))
+def _affine_powers(a0: int, a1: int, a2: int, deg: int) -> list[dict[tuple[int, int], int]]:
+    """(a0 + a1 u + a2 v)^k for k = 0..deg, as {(i, j): coefficient of u^i v^j}."""
+    return [
+        {
+            (i, j): math.comb(k, i) * math.comb(k - i, j) * a1**i * a2**j * a0 ** (k - i - j)
+            for i in range(k + 1)
+            for j in range(k + 1 - i)
+        }
+        for k in range(deg + 1)
+    ]
 
 
 def integrate(P: RationalPolytope, f: Polynomial) -> Fraction:
-    """Exact integral of f over P with respect to Lebesgue measure."""
+    """Exact integral of f over P with respect to Lebesgue measure.
+
+    In rank 2, on integer vertices X = D x and f = sum C_e X^e / (L D^deg) with
+    integer C_e, each triangle of a fan from the first vertex is mapped onto the
+    standard simplex, X = X0 + u E1 + v E2, where u^i v^j integrates to
+    i! j! / (i+j+2)!.  The sum runs on ints; one `Fraction` is built at the end.
+    """
     if P.rank == 1:
         lo, hi = P.vertices[0][0], P.vertices[1][0]
         total = Fraction(0)
@@ -294,26 +313,28 @@ def integrate(P: RationalPolytope, f: Polynomial) -> Fraction:
             total += c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
         return total
 
-    # Fan triangulation from the first stored vertex, each triangle mapped
-    # affinely onto the standard simplex.
-    v0 = P.vertices[0]
-    total = Fraction(0)
-    for i in range(1, len(P.vertices) - 1):
-        v1, v2 = P.vertices[i], P.vertices[i + 1]
-        e1 = (v1[0] - v0[0], v1[1] - v0[1])
-        e2 = (v2[0] - v0[0], v2[1] - v0[1])
-        det = e1[0] * e2[1] - e1[1] * e2[0]
-        if det == 0:
-            continue
-        # x = v0 + u e1 + v e2
-        xs = Polynomial.affine(2, v0[0], (e1[0], e2[0]))
-        ys = Polynomial.affine(2, v0[1], (e1[1], e2[1]))
-        g = f.substitute([xs, ys])
-        part = Fraction(0)
-        for e, c in g.coeffs.items():
-            part += c * _simplex_monomial_integral(e[0], e[1])
-        total += abs(det) * part
-    return total
+    D, pts = scaled_ints(P.vertices)
+    deg = f.degree()
+    L, (coeffs,) = scaled_ints([f.coeffs.values()])
+    terms = [(p, q, C * D ** (deg - p - q)) for (p, q), C in zip(f.coeffs, coeffs)]
+    top = math.factorial(deg + 2)
+    weights = {
+        (i, j): math.factorial(i) * math.factorial(j) * top // math.factorial(i + j + 2)
+        for i in range(deg + 1)
+        for j in range(deg + 1 - i)
+    }
+    (x0, y0), total = pts[0], 0
+    for (x1, y1), (x2, y2) in zip(pts[1:], pts[2:]):
+        xs = _affine_powers(x0, x1 - x0, x2 - x0, deg)
+        ys = _affine_powers(y0, y1 - y0, y2 - y0, deg)
+        part = sum(
+            C * c1 * c2 * weights[i1 + i2, j1 + j2]
+            for p, q, C in terms
+            for (i1, j1), c1 in xs[p].items()
+            for (i2, j2), c2 in ys[q].items()
+        )
+        total += abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)) * part
+    return Fraction(total, L * D ** (deg + 2) * top)
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +459,25 @@ def unimodular_inverse(M):
 
 
 def apply_matrix(M, v):
-    return tuple(sum(Fraction(M[i][j]) * v[j] for j in range(len(v))) for i in range(len(M)))
+    """M v; integer input gives integer output."""
+    return tuple(sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(M)))
 
 
 def transform_polytope(M, P: RationalPolytope) -> RationalPolytope:
-    """Image of P under an invertible integer matrix, restored to canonical order."""
-    imgs = [apply_matrix(M, v) for v in P.vertices]
+    """Image of P under an invertible integer matrix, restored to canonical order;
+    in rank 2, of the vertices scaled by D > 0 (which keeps their order), divided by D once."""
     if P.rank == 1:
-        return convex_hull(imgs, 1)
-    d = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    if d < 0:
+        return convex_hull([apply_matrix(M, v) for v in P.vertices], 1)
+    D, pts = scaled_ints(P.vertices)
+    (a, b), (c, d) = M
+    imgs = [(a * x + b * y, c * x + d * y) for x, y in pts]
+    if a * d - b * c < 0:
         imgs.reverse()
-    return RationalPolytope(2, vertices_ccw_store(imgs))
+    k = imgs.index(min(imgs))
+    imgs = imgs[k:] + imgs[:k]
+    if D == 1:
+        return RationalPolytope(2, tuple((Fraction(x), Fraction(y)) for x, y in imgs))
+    return RationalPolytope(2, tuple((Fraction(x, D), Fraction(y, D)) for x, y in imgs))
 
 
 # ---------------------------------------------------------------------------

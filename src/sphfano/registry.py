@@ -1172,7 +1172,7 @@ def data_preserving_permutation(data: CombinatorialData, M) -> tuple | None:
     Minv = unimodular_inverse(M)
     # action on weights is the transpose of the inverse action on N
     mt = tuple(tuple(Minv[j][i] for j in range(len(Minv))) for i in range(len(Minv)))
-    sigma_img = {tuple(int(c) for c in apply_matrix(mt, s)) for s in data.sigma}
+    sigma_img = {apply_matrix(mt, s) for s in data.sigma}
     if sigma_img != set(data.sigma):
         return None
     # match colors: image of rho must hit a color with the same m
@@ -1180,7 +1180,7 @@ def data_preserving_permutation(data: CombinatorialData, M) -> tuple | None:
     taken = [False] * n
     perm = [None] * n
     for i, c in enumerate(data.colors):
-        img = tuple(int(x) for x in apply_matrix(M, c.rho))
+        img = apply_matrix(M, c.rho)
         for j, d in enumerate(data.colors):
             if not taken[j] and d.rho == img and d.m == c.m:
                 taken[j] = True

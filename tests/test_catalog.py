@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,7 +14,6 @@ from pathlib import Path
 import pytest
 
 import sphfano
-from sphfano import catalog
 from sphfano.catalog import (
     MAX_JOBS,
     MalformedExpectedFile,
@@ -37,12 +37,17 @@ def test_identifier_map_loads_and_is_injective():
     assert len(m) == len(set(m.values())) == 319
 
 
-def test_identifier_map_is_fresh():
-    # the shipped map is exactly what the transcription tool generates
-    path = Path(__file__).parents[1] / "tools" / "build_identifier_map.py"
-    spec = importlib.util.spec_from_file_location("build_identifier_map", path)
+def _tool(name):
+    path = Path(__file__).parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_identifier_map_is_fresh():
+    # the shipped map is exactly what the transcription tool generates
+    tool = _tool("build_identifier_map")
     shipped = resources.files("sphfano").joinpath("data/identifier_map.json").read_text()
     assert tool.identifier_map_text() == shipped
 
@@ -250,15 +255,25 @@ def _no_pool(*args, **kwargs):
 @pytest.mark.parametrize("jobs", [0, -5, MAX_JOBS + 1, 2.0, "2"])
 def test_jobs_out_of_range(jobs, monkeypatch):
     # the check comes before any work; the stub fails if a pool is started
-    monkeypatch.setattr(catalog, "Pool", _no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
     with pytest.raises(InvalidConfig):
         build_catalog(dims=[1], jobs=jobs)
 
 
 def test_cli_jobs_out_of_range(monkeypatch, capsys):
-    monkeypatch.setattr(catalog, "Pool", _no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
     assert main(["catalog", "--dim", "1", "--jobs", "-5"]) == 2
     assert f"jobs must be an integer in 1..{MAX_JOBS}" in capsys.readouterr().err
+
+
+def test_serial_build_does_not_import_multiprocessing():
+    # only jobs > 1 loads multiprocessing, so a serial build or a check does not
+    code = (
+        "import sys; from sphfano import catalog; catalog.build_catalog(dims=[1]); "
+        "print('multiprocessing' in sys.modules)"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (r.returncode, r.stdout.strip()) == (0, "False"), r.stderr
 
 
 @pytest.mark.parametrize("demo", ["tour_of_the_engine.py", "reproduce_threefold_table.py"])
@@ -331,3 +346,11 @@ def test_dim4_named_variety_anchors(full_catalog):
             (r.pic, r.degree, r.ke),
             (pic, deg, ke),
         )
+
+
+def test_full_catalog_reproduces_recorded_invariants(full_catalog):
+    # tools/record_catalog_invariants.py: pic, degree, index, KE verdict,
+    # K-value and barycenter of all 337 records, dimension 4 included
+    recorded = (Path(__file__).parent / "data" / "catalog_invariants.json").read_text()
+    assert len(json.loads(recorded)) == 337
+    assert _tool("record_catalog_invariants").catalog_invariants_text(full_catalog) == recorded

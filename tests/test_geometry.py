@@ -232,6 +232,43 @@ def test_dual_unimodular_equivariance():
         assert dual(transform_polytope(M, P)) == transform_polytope(Minv_t, dual(P))
 
 
+def test_transform_polytope_against_vertex_map_oracle():
+    # map every vertex in Fraction arithmetic, then hull: lattice polygons and
+    # polygons with mixed denominators under det +1, det -1 and |det| > 1,
+    # and segments
+    rng = random.Random(29)
+    matrices = (
+        ((1, 2), (1, 3)),
+        ((0, -1), (1, 0)),
+        ((1, 0), (0, -1)),
+        ((2, 1), (3, 1)),
+        ((2, 1), (1, 3)),
+        ((1, 2), (3, 1)),
+    )
+    for _ in range(150):
+        dens = rng.choice(((1,), (1, 2, 3, 5), (1, 2, 7)))
+        pts = [
+            (F(rng.randint(-9, 9), rng.choice(dens)), F(rng.randint(-9, 9), rng.choice(dens)))
+            for _ in range(rng.randint(3, 6))
+        ]
+        try:
+            P = convex_hull(pts, 2)
+        except DegenerateInput:
+            continue
+        for M in matrices:
+            image = [tuple(F(a) * v[0] + F(b) * v[1] for a, b in M) for v in P.vertices]
+            Q = transform_polytope(M, P)
+            assert Q == convex_hull(image, 2)
+            assert all(type(c) is F for v in Q.vertices for c in v)
+    for _ in range(50):
+        a, b = F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(-9, 9), rng.randint(1, 4))
+        if a == b:
+            continue
+        for m in (1, -1, 3, -2):
+            Q = transform_polytope(((m,),), convex_hull([(a,), (b,)], 1))
+            assert Q == convex_hull([(m * a,), (m * b,)], 1)
+
+
 # -- contains ----------------------------------------------------------------
 
 
@@ -312,24 +349,48 @@ def test_integrate_unimodular_equivariance():
         assert integrate(transform_polytope(M, P), f) == integrate(P, f.substitute([xs, ys]))
 
 
-def test_integrate_against_sympy_polytope_integrate():
+def sympy_integral(P, f):
+    """The integral of f over the polygon P by sympy's polytope_integrate."""
     from sympy import Rational
     from sympy.abc import x, y
     from sympy.geometry import Polygon
     from sympy.integrals.intpoly import polytope_integrate
 
+    expr = sum(
+        Rational(c.numerator, c.denominator) * x ** e[0] * y ** e[1] for e, c in f.coeffs.items()
+    )
+    # polytope_integrate takes the clockwise orientation as positive
+    clockwise = Polygon(*reversed(P.vertices))
+    return F(str(polytope_integrate(clockwise, expr)))
+
+
+def test_integrate_against_sympy_polytope_integrate():
     rng = random.Random(19)
     for _ in range(12):
         P = random_lattice_polygon_containing_origin(rng)
         r = rng.randint
         f = Polynomial.affine(2, r(-3, 3), (r(-3, 3), F(1, r(1, 3))))
         f = f * Polynomial.affine(2, F(r(-5, 5), 2), (r(-2, 2), r(-2, 2)))
-        expr = sum(
-            Rational(c.numerator, c.denominator) * x ** e[0] * y ** e[1] for e, c in f.coeffs.items()
-        )
-        # polytope_integrate takes the clockwise orientation as positive
-        clockwise = Polygon(*reversed(P.vertices))
-        assert integrate(P, f) == F(str(polytope_integrate(clockwise, expr)))
+        assert integrate(P, f) == sympy_integral(P, f)
+
+
+def test_integrate_densities_on_dual_polygons_against_sympy():
+    # the shape the invariants integrate: rational vertices (duals of lattice
+    # polygons) and a density of 3 or 4 affine factors with rational
+    # constants, alone and times x_i as dh_barycenter builds it (sympy takes
+    # about half a second per integral, so few cases)
+    rng = random.Random(23)
+    denominators = set()
+    for k, i in ((3, 0), (4, 1), (3, 1), (4, 0)):
+        P = dual(random_lattice_polygon_containing_origin(rng))
+        denominators |= {c.denominator for v in P.vertices for c in v}
+        f = Polynomial.constant(2, F(1, rng.randint(1, 6)))
+        for _ in range(k):
+            const = F(rng.randint(1, 9), rng.randint(1, 4))
+            f = f * Polynomial.affine(2, const, (rng.randint(-2, 2), rng.randint(-2, 2)))
+        for g in (f, f * Polynomial.monomial(2, (1 - i, i))):
+            assert integrate(P, g) == sympy_integral(P, g)
+    assert max(denominators) > 1
 
 
 # -- snf ---------------------------------------------------------------------
