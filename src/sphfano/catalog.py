@@ -22,7 +22,7 @@ from importlib import resources
 
 from .geometry import RationalPolytope, convex_hull, rat_str
 from .invariants import all_invariants
-from .registry import RANK0_TABLE, build, families, params_key, symmetry_group
+from .registry import DIMS, RANK0_TABLE, RANKS, build, families, params_key, symmetry_group
 from .search import EnumConfig, InvalidConfig, canonical_form, enumerate_polytopes
 
 
@@ -173,8 +173,10 @@ def build_catalog(dims=None, ranks=None, cfg=None, jobs=1, warn=None) -> Catalog
     """Enumerate everything in scope and attach identifiers."""
     if type(jobs) is not int or not 1 <= jobs <= MAX_JOBS:
         raise InvalidConfig(f"jobs must be an integer in 1..{MAX_JOBS}, got {jobs!r}")
-    dims = sorted(set(dims)) if dims else [1, 2, 3, 4]
-    ranks = sorted(set(ranks)) if ranks else [0, 1, 2]
+    dims = sorted(set(dims)) if dims else list(DIMS)
+    ranks = sorted(set(ranks)) if ranks else list(RANKS)
+    if not set(dims).issubset(DIMS) or not set(ranks).issubset(RANKS):
+        raise InvalidConfig(f"dims must lie in 1..4 and ranks in 0..2, got {dims} and {ranks}")
     cfg = cfg or default_config()
     warn = warn or (lambda msg: print(f"warning: {msg}", file=sys.stderr))
 

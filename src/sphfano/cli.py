@@ -38,7 +38,10 @@ def _parse_params(text: str) -> dict:
         if not item.strip():
             continue
         k, _, v = item.partition("=")
-        params[k.strip()] = int(v)
+        k = k.strip()
+        if k in params:
+            raise ValueError(f"parameter {k!r} given twice")
+        params[k] = int(v)
     return params
 
 

@@ -276,6 +276,10 @@ def edge_violation(data: CombinatorialData, p, q, colors, scale: int):
     return facet_violation(data, edge[2], colors, scale)
 
 
+class NotReflexive(ValueError):
+    """A polytope that `check_reflexive` rejects, where an accepted one is required."""
+
+
 def check_reflexive(data: CombinatorialData, P: RationalPolytope) -> Verdict:
     """The four-condition test for locally factorial reflexivity of P.
 

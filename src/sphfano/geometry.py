@@ -144,10 +144,8 @@ def convex_hull(points, rank: int) -> RationalPolytope:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise DegenerateInput("points are collinear")
-    # counterclockwise from the lexicographic minimum (pts[0] = hull[0] already
-    # lexmin, but the chain above is clockwise-free; rotate defensively)
-    k = hull.index(min(hull))
-    hull = hull[k:] + hull[:k]
+    # counterclockwise from hull[0] = pts[0], the lexicographic minimum, which
+    # the lower chain never pops
     return RationalPolytope(2, tuple(hull))
 
 
@@ -242,18 +240,6 @@ class Polynomial:
     def monomial(rank: int, exponents, c=1) -> "Polynomial":
         return Polynomial(rank, {tuple(exponents): Fraction(c)})
 
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Polynomial(self.rank, out)
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             out: dict[tuple[int, ...], Fraction] = {}
@@ -265,18 +251,6 @@ class Polynomial:
         return Polynomial(self.rank, {e: c * Fraction(other) for e, c in self.coeffs.items()})
 
     __rmul__ = __mul__
-
-    def substitute(self, exprs: list["Polynomial"]) -> "Polynomial":
-        """Plug in one polynomial per variable (used for affine changes of variables)."""
-        rank = exprs[0].rank
-        result = Polynomial(rank)
-        for e, c in self.coeffs.items():
-            term = Polynomial.constant(rank, c)
-            for var, power in enumerate(e):
-                for _ in range(power):
-                    term = term * exprs[var]
-            result = result + term
-        return result
 
     def degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)

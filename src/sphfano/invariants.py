@@ -16,9 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
-from .core import CombinatorialData, check_reflexive
+from .core import CombinatorialData, NotReflexive, check_reflexive
 from .geometry import DegenerateInput, Polynomial, RationalPolytope, dual, integrate, snf
-from .search import NotReflexive
 
 STABLE = "Stable"
 SEMISTABLE = "SemistableNotStable"

@@ -1,8 +1,9 @@
 """Registry of the spherical homogeneous-space families and their data.
 
-Each entry turns one classification case into a parameterized constructor of
-`CombinatorialData`, together with the finite list of admissible parameter
-values.  The lattice-symmetry group under which embeddings of an instance
+Each row of `FAMILY_ROWS` is the one declaration of a family in one
+dimension and rank: its id, dimension, rank, builder (a parameterized
+constructor of the rest of its `CombinatorialData`) and the finite list of
+admissible parameter values.  The lattice-symmetry group under which embeddings of an instance
 are considered equivalent is derived from its combinatorial data
 (`symmetry_group`): every unimodular matrix that permutes the spherical
 roots, the colors and the factors of the density, as decided by
@@ -16,12 +17,14 @@ nothing there.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .core import Color, CombinatorialData, dh
-from .geometry import Polynomial, apply_matrix, det2, primitive, unimodular_inverse
+from .geometry import apply_matrix, det2, primitive, unimodular_inverse
 
 
 class UnknownFamily(KeyError):
@@ -56,9 +59,17 @@ class SymmetryGroup:
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """One registry row: a family in one dimension and rank, with its builder.
+
+    The builder maps admissible params to the keyword arguments of
+    `CombinatorialData` other than `rank` and `dim`, which the row states;
+    the static rank-0 rows have none.
+    """
+
     id: str
     dim: int
     rank: int
+    builder: Callable[[dict], dict] | None
     param_domain: str
     param_bound: tuple[tuple[tuple[str, int], ...], ...]
     product_note: str | None = None
@@ -95,6 +106,11 @@ def _basis_str(coeffs: dict[str, int]) -> str:
     return "".join(parts) if parts else "0"
 
 
+# the scope of the classification
+DIMS = (1, 2, 3, 4)
+RANKS = (0, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # Table of projective homogeneous spaces of dimension <= 4 (static rank-0 data)
 
@@ -126,285 +142,6 @@ def rank0_entries():
 
 
 # ---------------------------------------------------------------------------
-# family table
-
-
-FAMILY_ROWS: list[FamilySpec] = []
-
-
-def _row(spec: FamilySpec):
-    FAMILY_ROWS.append(spec)
-    return spec
-
-
-# dimension 1
-_row(FamilySpec("toric", 1, 1, "n = 1", _pb({"n": 1})))
-
-# dimension 2, rank 1
-_row(FamilySpec("SL2.T", 2, 1, "no parameters", _pb({})))
-_row(FamilySpec("SL2.N", 2, 1, "no parameters", _pb({})))
-_row(
-    FamilySpec(
-        "SL2xGm.horo",
-        2,
-        1,
-        "n = 1, a1 in {0, 1}",  # a1 >= 2 has no locally factorial Fano embedding
-        _pb({"n": 1, "a1": 0}, {"n": 1, "a1": 1}),
-        product_note="a1=0: product P1 x P1 with the toric factor",
-    )
-)
-
-# dimension 2, rank 2
-_row(FamilySpec("toric", 2, 2, "n = 2", _pb({"n": 2})))
-
-# dimension 3, rank 1
-_row(FamilySpec("SL2sq.diagSL2", 3, 1, "no parameters", _pb({})))
-_row(FamilySpec("SL2sq.NdiagSL2", 3, 1, "no parameters", _pb({})))
-_row(
-    FamilySpec(
-        "SL2sq.horo1",
-        3,
-        1,
-        "a1 >= |a2|, both in {-1, 0, 1}",  # |ai| >= 2 excluded by the color conditions
-        _pb({"a1": 0, "a2": 0}, {"a1": 1, "a2": 0}, {"a1": 1, "a2": 1}, {"a1": 1, "a2": -1}),
-        product_note="a2=0: product of P1 with a rank-one horospherical SL2xGm space",
-    )
-)
-_row(
-    FamilySpec(
-        "SL3.horo.Q",
-        3,
-        1,
-        "a1 in {0, 1, 2}",  # a1/3 interior forces a1 <= 2; vertex forces a1 = 1
-        _pb({"a1": 0}, {"a1": 1}, {"a1": 2}),
-        product_note="a1=0: product P2 x Gm",
-    )
-)
-
-# dimension 3, rank 2
-_row(
-    FamilySpec(
-        "SL2xGm.T",
-        3,
-        2,
-        "a1 in {0, 1, 2}",  # no reflexive polytopes for a1 >= 3
-        _pb({"a1": 0}, {"a1": 1}, {"a1": 2}),
-        product_note="a1=0: product of SL2/T surface with the torus factor",
-    )
-)
-_row(FamilySpec("SL2xGm.N.product", 3, 2, "no parameters", _pb({})))
-_row(FamilySpec("SL2xGm.N.diag", 3, 2, "no parameters", _pb({})))
-_row(
-    FamilySpec(
-        "SL2xGm.horo",
-        3,
-        2,
-        "n = 2, a1 in {0, 1}",
-        _pb({"n": 2, "a1": 0}, {"n": 2, "a1": 1}),
-        product_note="a1=0: products of P1 with the five toric surfaces",
-    )
-)
-
-# dimension 4, rank 1
-_row(FamilySpec("SL3.sym", 4, 1, "no parameters", _pb({})))
-_row(FamilySpec("SL3.horosym", 4, 1, "no parameters", _pb({})))
-_row(FamilySpec("SL3.Nhorosym", 4, 1, "no parameters", _pb({})))  # zero embeddings
-_row(
-    FamilySpec(
-        "SL3.horo.B",
-        4,
-        1,
-        "a1 >= |a2|, both in {-1, 0, 1}",
-        _pb({"a1": 0, "a2": 0}, {"a1": 1, "a2": 0}, {"a1": 1, "a2": 1}, {"a1": 1, "a2": -1}),
-        product_note="(0,0): product W x P1",
-    )
-)
-_row(FamilySpec("Sp4.Nsym", 4, 1, "no parameters", _pb({})))
-_row(FamilySpec("Sp4.sym", 4, 1, "no parameters", _pb({})))
-_row(FamilySpec("SL3xSL2.QxT", 4, 1, "no parameters", _pb({}), product_note="P2 x (SL2/T)"))
-_row(FamilySpec("SL3xSL2.QxNT", 4, 1, "no parameters", _pb({}), product_note="P2 x (SL2/N(T))"))
-_row(FamilySpec("SL2cube.BdiagSL2", 4, 1, "no parameters", _pb({}), product_note="P1 x Q3"))
-_row(FamilySpec("SL2cube.BNdiagSL2", 4, 1, "no parameters", _pb({}), product_note="P1 x P3"))
-_row(FamilySpec("SL2cube.BBxT", 4, 1, "no parameters", _pb({}), product_note="P1 x P1 x (SL2/T)"))
-_row(
-    FamilySpec("SL2cube.BBxNT", 4, 1, "no parameters", _pb({}), product_note="P1 x P1 x (SL2/N(T))")
-)
-_row(
-    FamilySpec(
-        "SL2cube.horo",
-        4,
-        1,
-        "a1 >= |a2| >= |a3| in {-1, 0, 1}, signs up to a global flip",
-        # (1,-1,-1) is the same subgroup as (1,1,-1) after replacing chi by -chi
-        # and permuting the factors, so it is not listed separately.
-        _pb(
-            {"a1": 0, "a2": 0, "a3": 0},
-            {"a1": 1, "a2": 0, "a3": 0},
-            {"a1": 1, "a2": 1, "a3": 0},
-            {"a1": 1, "a2": -1, "a3": 0},
-            {"a1": 1, "a2": 1, "a3": 1},
-            {"a1": 1, "a2": 1, "a3": -1},
-        ),
-        product_note="a3=0: product of P1 with a rank-one horospherical SL2^2xGm space",
-    )
-)
-_row(
-    FamilySpec(
-        "SL3xSL2.horo",
-        4,
-        1,
-        "a1 in {0, 1, 2}; a3 in {-1, 0, 1}, a3 >= 0 when a1 = 0",
-        _pb(
-            {"a1": 0, "a3": 0},
-            {"a1": 0, "a3": 1},
-            {"a1": 1, "a3": 0},
-            {"a1": 2, "a3": 0},
-            {"a1": 1, "a3": 1},
-            {"a1": 1, "a3": -1},
-            {"a1": 2, "a3": 1},
-            {"a1": 2, "a3": -1},
-        ),
-        product_note="a1=0 or a3=0: product with P2 or P1 factors",
-    )
-)
-_row(
-    FamilySpec(
-        "Sp4.horo.short",
-        4,
-        1,
-        "a1 in {0, 1, 2, 3}",  # m = 4 allows a1/4 interior up to a1 = 3
-        _pb({"a1": 0}, {"a1": 1}, {"a1": 2}, {"a1": 3}),
-        product_note="a1=0: P3 x P1",
-    )
-)
-_row(
-    FamilySpec(
-        "Sp4.horo.long",
-        4,
-        1,
-        "a2 in {0, 1, 2}",
-        _pb({"a2": 0}, {"a2": 1}, {"a2": 2}),
-        product_note="a2=0: Q3 x P1",
-    )
-)
-_row(
-    FamilySpec(
-        "SL4.horo",
-        4,
-        1,
-        "a1 in {0, 1, 2, 3}",
-        _pb({"a1": 0}, {"a1": 1}, {"a1": 2}, {"a1": 3}),
-        product_note="a1=0: P3 x P1",
-    )
-)
-
-# dimension 4, rank 2
-_row(FamilySpec("SL2sqxGm.diagSL2", 4, 2, "no parameters", _pb({})))
-_row(FamilySpec("SL2sqxGm.NdiagSL2", 4, 2, "no parameters", _pb({})))
-_row(FamilySpec("SL2sq.GL2", 4, 2, "no parameters", _pb({})))
-_row(FamilySpec("SL2sq.diagB", 4, 2, "no parameters", _pb({})))
-_row(FamilySpec("SL2sq.NdiagB", 4, 2, "no parameters", _pb({})))
-_row(FamilySpec("SL2sq.TxT", 4, 2, "no parameters", _pb({})))
-_row(FamilySpec("SL2sq.NTxT", 4, 2, "no parameters", _pb({})))
-_row(FamilySpec("SL2sq.NTxNT", 4, 2, "no parameters", _pb({})))
-_row(FamilySpec("SL2sq.diagNT", 4, 2, "no parameters", _pb({})))
-_row(
-    FamilySpec(
-        "SL2sq.PI-T",
-        4,
-        2,
-        "a1 in {0, 1, 2}, a2 in {0, 1}",  # a1 >= 3 empty; a2 >= 2 excluded by the color point conditions
-        _pb(
-            {"a1": 0, "a2": 0},
-            {"a1": 1, "a2": 0},
-            {"a1": 2, "a2": 0},
-            {"a1": 0, "a2": 1},
-            {"a1": 1, "a2": 1},
-            {"a1": 2, "a2": 1},
-        ),
-        product_note="a2=0: products of P1 with the type-T threefolds (14 of them)",
-    )
-)
-_row(
-    FamilySpec(
-        "SL2sq.PI-N.product",
-        4,
-        2,
-        "a2 in {0, 1}",
-        _pb({"a2": 0}, {"a2": 1}),
-        product_note="a2=0: products of P1 with the N-product threefolds",
-    )
-)
-_row(
-    FamilySpec(
-        "SL2sq.PI-N.diag",
-        4,
-        2,
-        "a2 in {0, 1}",
-        _pb({"a2": 0}, {"a2": 1}),
-        product_note="a2=0: products of P1 with the N-diagonal threefolds",
-    )
-)
-_row(
-    FamilySpec(
-        "SL2sq.horo2",
-        4,
-        2,
-        "(a2,b2) in {(0,0),(0,1),(1,2),(1,3),(2,3)} with a1 = 1 unless a2 = b2 = 0",
-        _pb(
-            {"a1": 0, "a2": 0, "b2": 0},
-            {"a1": 1, "a2": 0, "b2": 0},
-            {"a1": 1, "a2": 0, "b2": 1},
-            {"a1": 1, "a2": 1, "b2": 2},
-            {"a1": 1, "a2": 1, "b2": 3},  # explored and empty
-            {"a1": 1, "a2": 2, "b2": 3},
-        ),
-        product_note="a2=b2=0: products of P1 with rank-two horospherical SL2xGm^2 threefolds",
-    )
-)
-_row(
-    FamilySpec(
-        "SL3.horo2",
-        4,
-        2,
-        "a1 in {0, 1, 2}",
-        _pb({"a1": 0}, {"a1": 1}, {"a1": 2}),
-        product_note="a1=0: products of P2 with the five toric surfaces",
-    )
-)
-
-# rank 0 static rows
-for _k, (_g, _s, _d, _p, _deg) in enumerate(RANK0_TABLE):
-    _row(
-        FamilySpec(
-            "rank0",
-            _d,
-            0,
-            f"row {_k}: {_g} acting on {_s}",
-            _pb({"row": _k}),
-        )
-    )
-
-
-def families(dim_filter=None, rank_filter=None) -> list[FamilySpec]:
-    """Registry rows whose dimension and rank match the filters."""
-    dims = set(dim_filter) if dim_filter is not None else {1, 2, 3, 4}
-    ranks = set(rank_filter) if rank_filter is not None else {0, 1, 2}
-    return [f for f in FAMILY_ROWS if f.dim in dims and f.rank in ranks]
-
-
-def family_spec(fid: str, params: dict) -> FamilySpec:
-    key = params_key(params)
-    for f in FAMILY_ROWS:
-        if f.id == fid and key in f.param_bound:
-            return f
-    for f in FAMILY_ROWS:
-        if f.id == fid:
-            raise ParamsOutOfDomain(f"{fid}: params {params} not in the admissible bound")
-    raise UnknownFamily(fid)
-
-
-# ---------------------------------------------------------------------------
 # data constructors
 
 
@@ -412,21 +149,9 @@ def _colors(*cs) -> tuple[Color, ...]:
     return tuple(Color(label, tuple(rho), m, frozenset(zeta)) for label, rho, m, zeta in cs)
 
 
-def build(fid: str, params: dict | None = None) -> CombinatorialData:
-    """The combinatorial data of one homogeneous space, in its fixed M-basis."""
-    params = dict(params or {})
-    spec = family_spec(fid, params)
-    builder = _BUILDERS.get(fid)
-    if builder is None:
-        raise UnknownFamily(f"{fid} has no combinatorial data (static rank-0 entry)")
-    return builder(spec, params)
-
-
-def _toric(spec, p):
+def _toric(p):
     n = p["n"]
-    return CombinatorialData(
-        rank=n,
-        dim=n,
+    return dict(
         sigma=(),
         colors=(),
         f=dh(1),
@@ -437,10 +162,8 @@ def _toric(spec, p):
     )
 
 
-def _sl2_t(spec, p):
-    return CombinatorialData(
-        1,
-        2,
+def _sl2_t(p):
+    return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 1, {"a1"}), ("hearts", (1,), 1, {"a1"})),
         f=dh(1, (2, (2,), 1)),
@@ -451,10 +174,8 @@ def _sl2_t(spec, p):
     )
 
 
-def _sl2_n(spec, p):
-    return CombinatorialData(
-        1,
-        2,
+def _sl2_n(p):
+    return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 1, {"a1"})),
         f=dh(1, (2, (4,), 1)),
@@ -465,12 +186,10 @@ def _sl2_n(spec, p):
     )
 
 
-def _sl2gm_horo(spec, p):
+def _sl2gm_horo(p):
     n, a1 = p["n"], p["a1"]
     basis = (_basis_str({"w1": a1, "x1": 1}),) + tuple(f"x{i}" for i in range(2, n + 1))
-    return CombinatorialData(
-        rank=n,
-        dim=n + 1,
+    return dict(
         sigma=(),
         colors=_colors(("clubs", (a1,) + (0,) * (n - 1), 2, {"a1"})),
         f=dh(1, (2, (a1,) + (0,) * (n - 1), 1)),
@@ -481,10 +200,8 @@ def _sl2gm_horo(spec, p):
     )
 
 
-def _sl2sq_diag_sl2(spec, p):
-    return CombinatorialData(
-        1,
-        3,
+def _sl2sq_diag_sl2(p):
+    return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 2, {"a1", "a2"})),
         f=dh(1, (2, (1,), 2)),
@@ -495,10 +212,8 @@ def _sl2sq_diag_sl2(spec, p):
     )
 
 
-def _sl2sq_ndiag_sl2(spec, p):
-    return CombinatorialData(
-        1,
-        3,
+def _sl2sq_ndiag_sl2(p):
+    return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 2, {"a1", "a2"})),
         f=dh(4, (1, (1,), 2)),
@@ -509,11 +224,9 @@ def _sl2sq_ndiag_sl2(spec, p):
     )
 
 
-def _sl2sq_horo1(spec, p):
+def _sl2sq_horo1(p):
     a1, a2 = p["a1"], p["a2"]
-    return CombinatorialData(
-        1,
-        3,
+    return dict(
         sigma=(),
         colors=_colors(("clubs", (a1,), 2, {"a1"}), ("hearts", (a2,), 2, {"a2"})),
         f=dh(1, (2, (a1,), 1), (2, (a2,), 1)),
@@ -524,11 +237,9 @@ def _sl2sq_horo1(spec, p):
     )
 
 
-def _sl3_horo_q(spec, p):
+def _sl3_horo_q(p):
     a1 = p["a1"]
-    return CombinatorialData(
-        1,
-        3,
+    return dict(
         sigma=(),
         colors=_colors(("clubs", (a1,), 3, {"a1"})),
         f=dh(Fraction(1, 2), (3, (a1,), 2)),
@@ -539,13 +250,11 @@ def _sl3_horo_q(spec, p):
     )
 
 
-def _sl2gm_t(spec, p):
+def _sl2gm_t(p):
     a1 = p["a1"]
     if a1 % 2 == 0:
         half = a1 // 2
-        return CombinatorialData(
-            2,
-            3,
+        return dict(
             sigma=((1, 0),),
             colors=_colors(("clubs", (1, half), 1, {"a1"}), ("hearts", (1, -half), 1, {"a1"})),
             f=dh(1, (2, (2, 0), 1)),
@@ -555,9 +264,7 @@ def _sl2gm_t(spec, p):
             space_type="symmetric" if a1 == 0 else "typeT",
         )
     hi, lo = (a1 + 1) // 2, (1 - a1) // 2
-    return CombinatorialData(
-        2,
-        3,
+    return dict(
         sigma=((1, 1),),
         colors=_colors(("clubs", (hi, lo), 1, {"a1"}), ("hearts", (lo, hi), 1, {"a1"})),
         f=dh(1, (2, (1, 1), 1)),
@@ -568,10 +275,8 @@ def _sl2gm_t(spec, p):
     )
 
 
-def _sl2gm_n_product(spec, p):
-    return CombinatorialData(
-        2,
-        3,
+def _sl2gm_n_product(p):
+    return dict(
         sigma=((1, 0),),
         colors=_colors(("clubs", (2, 0), 1, {"a1"})),
         f=dh(1, (2, (4, 0), 1)),
@@ -582,10 +287,8 @@ def _sl2gm_n_product(spec, p):
     )
 
 
-def _sl2gm_n_diag(spec, p):
-    return CombinatorialData(
-        2,
-        3,
+def _sl2gm_n_diag(p):
+    return dict(
         sigma=((1, 1),),
         colors=_colors(("clubs", (1, 1), 1, {"a1"})),
         f=dh(1, (2, (2, 2), 1)),
@@ -596,10 +299,8 @@ def _sl2gm_n_diag(spec, p):
     )
 
 
-def _sl3_sym(spec, p):
-    return CombinatorialData(
-        1,
-        4,
+def _sl3_sym(p):
+    return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 2, {"a1"}), ("hearts", (1,), 2, {"a2"})),
         f=dh(1, (2, (1,), 3)),
@@ -610,10 +311,8 @@ def _sl3_sym(spec, p):
     )
 
 
-def _sl3_horosym(spec, p):
-    return CombinatorialData(
-        1,
-        4,
+def _sl3_horosym(p):
+    return dict(
         sigma=((1,),),
         colors=_colors(
             ("clubs", (-1,), 2, {"a1"}),
@@ -628,10 +327,8 @@ def _sl3_horosym(spec, p):
     )
 
 
-def _sl3_nhorosym(spec, p):
-    return CombinatorialData(
-        1,
-        4,
+def _sl3_nhorosym(p):
+    return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (-2,), 2, {"a1"}), ("hearts", (2,), 1, {"a2"})),
         f=dh(4, (1, (-1,), 1), (1, (2,), 1), (2, (1,), 1)),
@@ -642,11 +339,9 @@ def _sl3_nhorosym(spec, p):
     )
 
 
-def _sl3_horo_b(spec, p):
+def _sl3_horo_b(p):
     a1, a2 = p["a1"], p["a2"]
-    return CombinatorialData(
-        1,
-        4,
+    return dict(
         sigma=(),
         colors=_colors(("clubs", (a1,), 2, {"a1"}), ("hearts", (a2,), 2, {"a2"})),
         f=dh(Fraction(1, 2), (2, (a1,), 1), (2, (a2,), 1), (4, (a1 + a2,), 1)),
@@ -657,10 +352,8 @@ def _sl3_horo_b(spec, p):
     )
 
 
-def _sp4_nsym(spec, p):
-    return CombinatorialData(
-        1,
-        4,
+def _sp4_nsym(p):
+    return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 3, {"a2"})),
         f=dh(Fraction(1, 3), (3, (2,), 3)),
@@ -671,10 +364,8 @@ def _sp4_nsym(spec, p):
     )
 
 
-def _sp4_sym(spec, p):
-    return CombinatorialData(
-        1,
-        4,
+def _sp4_sym(p):
+    return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 3, {"a2"})),
         f=dh(Fraction(1, 3), (3, (1,), 3)),
@@ -685,11 +376,9 @@ def _sp4_sym(spec, p):
     )
 
 
-def _sl3sl2_qxt(spec, p):
+def _sl3sl2_qxt(p):
     # P2 x (SL2/T): the P2 factor contributes the two constant root factors
-    return CombinatorialData(
-        1,
-        4,
+    return dict(
         sigma=((1,),),
         colors=_colors(
             ("clubs", (1,), 1, {"a3"}),
@@ -704,10 +393,8 @@ def _sl3sl2_qxt(spec, p):
     )
 
 
-def _sl3sl2_qxnt(spec, p):
-    return CombinatorialData(
-        1,
-        4,
+def _sl3sl2_qxnt(p):
+    return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 1, {"a3"}), ("diamonds", (0,), 3, {"a1"})),
         f=dh(1, (3, (0,), 1), (Fraction(3, 2), (0,), 1), (2, (4,), 1)),
@@ -718,11 +405,9 @@ def _sl3sl2_qxnt(spec, p):
     )
 
 
-def _sl2cube_b_diag(spec, p):
+def _sl2cube_b_diag(p):
     # P1 x (SL2^2/diag SL2)
-    return CombinatorialData(
-        1,
-        4,
+    return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 2, {"a2", "a3"}), ("diamonds", (0,), 2, {"a1"})),
         f=dh(1, (2, (0,), 1), (2, (1,), 2)),
@@ -733,10 +418,8 @@ def _sl2cube_b_diag(spec, p):
     )
 
 
-def _sl2cube_b_ndiag(spec, p):
-    return CombinatorialData(
-        1,
-        4,
+def _sl2cube_b_ndiag(p):
+    return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 2, {"a2", "a3"}), ("diamonds", (0,), 2, {"a1"})),
         f=dh(4, (2, (0,), 1), (1, (1,), 2)),
@@ -747,10 +430,8 @@ def _sl2cube_b_ndiag(spec, p):
     )
 
 
-def _sl2cube_bbxt(spec, p):
-    return CombinatorialData(
-        1,
-        4,
+def _sl2cube_bbxt(p):
+    return dict(
         sigma=((1,),),
         colors=_colors(
             ("clubs", (1,), 1, {"a3"}),
@@ -766,10 +447,8 @@ def _sl2cube_bbxt(spec, p):
     )
 
 
-def _sl2cube_bbxnt(spec, p):
-    return CombinatorialData(
-        1,
-        4,
+def _sl2cube_bbxnt(p):
+    return dict(
         sigma=((1,),),
         colors=_colors(
             ("clubs", (2,), 1, {"a3"}),
@@ -784,11 +463,9 @@ def _sl2cube_bbxnt(spec, p):
     )
 
 
-def _sl2cube_horo(spec, p):
+def _sl2cube_horo(p):
     a1, a2, a3 = p["a1"], p["a2"], p["a3"]
-    return CombinatorialData(
-        1,
-        4,
+    return dict(
         sigma=(),
         colors=_colors(
             ("clubs", (a1,), 2, {"a1"}),
@@ -803,11 +480,9 @@ def _sl2cube_horo(spec, p):
     )
 
 
-def _sl3sl2_horo(spec, p):
+def _sl3sl2_horo(p):
     a1, a3 = p["a1"], p["a3"]
-    return CombinatorialData(
-        1,
-        4,
+    return dict(
         sigma=(),
         colors=_colors(("clubs", (a1,), 3, {"a1"}), ("hearts", (a3,), 2, {"a3"})),
         f=dh(Fraction(1, 2), (3, (a1,), 2), (2, (a3,), 1)),
@@ -818,11 +493,9 @@ def _sl3sl2_horo(spec, p):
     )
 
 
-def _sp4_horo_short(spec, p):
+def _sp4_horo_short(p):
     a1 = p["a1"]
-    return CombinatorialData(
-        1,
-        4,
+    return dict(
         sigma=(),
         colors=_colors(("clubs", (a1,), 4, {"a1"})),
         f=dh(Fraction(1, 6), (4, (a1,), 3)),
@@ -833,11 +506,9 @@ def _sp4_horo_short(spec, p):
     )
 
 
-def _sp4_horo_long(spec, p):
+def _sp4_horo_long(p):
     a2 = p["a2"]
-    return CombinatorialData(
-        1,
-        4,
+    return dict(
         sigma=(),
         colors=_colors(("clubs", (a2,), 3, {"a2"})),
         f=dh(Fraction(1, 3), (3, (a2,), 3)),
@@ -848,11 +519,9 @@ def _sp4_horo_long(spec, p):
     )
 
 
-def _sl4_horo(spec, p):
+def _sl4_horo(p):
     a1 = p["a1"]
-    return CombinatorialData(
-        1,
-        4,
+    return dict(
         sigma=(),
         colors=_colors(("clubs", (a1,), 4, {"a1"})),
         f=dh(Fraction(1, 6), (4, (a1,), 3)),
@@ -863,10 +532,8 @@ def _sl4_horo(spec, p):
     )
 
 
-def _sl2sqgm_diag_sl2(spec, p):
-    return CombinatorialData(
-        2,
-        4,
+def _sl2sqgm_diag_sl2(p):
+    return dict(
         sigma=((1, 0),),
         colors=_colors(("clubs", (1, 0), 2, {"a1", "a2"})),
         f=dh(1, (2, (1, 0), 2)),
@@ -877,10 +544,8 @@ def _sl2sqgm_diag_sl2(spec, p):
     )
 
 
-def _sl2sqgm_ndiag_sl2(spec, p):
-    return CombinatorialData(
-        2,
-        4,
+def _sl2sqgm_ndiag_sl2(p):
+    return dict(
         sigma=((1, 0),),
         colors=_colors(("clubs", (2, 0), 2, {"a1", "a2"})),
         f=dh(4, (1, (1, 0), 2)),
@@ -891,10 +556,8 @@ def _sl2sqgm_ndiag_sl2(spec, p):
     )
 
 
-def _sl2sq_gl2(spec, p):
-    return CombinatorialData(
-        2,
-        4,
+def _sl2sq_gl2(p):
+    return dict(
         sigma=((1, 1),),
         colors=_colors(("clubs", (1, 1), 2, {"a1", "a2"})),
         f=dh(1, (2, (1, 1), 2)),
@@ -905,10 +568,8 @@ def _sl2sq_gl2(spec, p):
     )
 
 
-def _sl2sq_diag_b(spec, p):
-    return CombinatorialData(
-        2,
-        4,
+def _sl2sq_diag_b(p):
+    return dict(
         sigma=((1, 1), (1, -1)),
         colors=_colors(
             ("clubs", (0, 1), 1, {"a1"}),
@@ -923,10 +584,8 @@ def _sl2sq_diag_b(spec, p):
     )
 
 
-def _sl2sq_ndiag_b(spec, p):
-    return CombinatorialData(
-        2,
-        4,
+def _sl2sq_ndiag_b(p):
+    return dict(
         sigma=((1, 0), (0, 1)),
         colors=_colors(
             ("clubs", (1, -1), 1, {"a1"}),
@@ -941,10 +600,8 @@ def _sl2sq_ndiag_b(spec, p):
     )
 
 
-def _sl2sq_txt(spec, p):
-    return CombinatorialData(
-        2,
-        4,
+def _sl2sq_txt(p):
+    return dict(
         sigma=((1, 0), (0, 1)),
         colors=_colors(
             ("clubs", (1, 0), 1, {"a1"}),
@@ -960,10 +617,8 @@ def _sl2sq_txt(spec, p):
     )
 
 
-def _sl2sq_ntxt(spec, p):
-    return CombinatorialData(
-        2,
-        4,
+def _sl2sq_ntxt(p):
+    return dict(
         sigma=((1, 0), (0, 1)),
         colors=_colors(
             ("clubs", (2, 0), 1, {"a1"}),
@@ -978,10 +633,8 @@ def _sl2sq_ntxt(spec, p):
     )
 
 
-def _sl2sq_ntxnt(spec, p):
-    return CombinatorialData(
-        2,
-        4,
+def _sl2sq_ntxnt(p):
+    return dict(
         sigma=((1, 0), (0, 1)),
         colors=_colors(("clubs", (2, 0), 1, {"a1"}), ("spades", (0, 2), 1, {"a2"})),
         f=dh(4, (1, (2, 0), 1), (1, (0, 2), 1)),
@@ -992,10 +645,8 @@ def _sl2sq_ntxnt(spec, p):
     )
 
 
-def _sl2sq_diag_nt(spec, p):
-    return CombinatorialData(
-        2,
-        4,
+def _sl2sq_diag_nt(p):
+    return dict(
         sigma=((1, 1), (1, -1)),
         colors=_colors(("clubs", (1, 1), 1, {"a1"}), ("spades", (1, -1), 1, {"a2"})),
         f=dh(4, (1, (1, 1), 1), (1, (1, -1), 1)),
@@ -1006,13 +657,11 @@ def _sl2sq_diag_nt(spec, p):
     )
 
 
-def _sl2sq_pi_t(spec, p):
+def _sl2sq_pi_t(p):
     a1, a2 = p["a1"], p["a2"]
     if a1 % 2 == 0:
         half = a1 // 2
-        return CombinatorialData(
-            2,
-            4,
+        return dict(
             sigma=((1, 0),),
             colors=_colors(
                 ("clubs", (1, half), 1, {"a1"}),
@@ -1026,9 +675,7 @@ def _sl2sq_pi_t(spec, p):
             space_type="typeT",
         )
     hi, lo = (a1 + 1) // 2, (1 - a1) // 2
-    return CombinatorialData(
-        2,
-        4,
+    return dict(
         sigma=((1, 1),),
         colors=_colors(
             ("clubs", (hi, lo), 1, {"a1"}),
@@ -1046,11 +693,9 @@ def _sl2sq_pi_t(spec, p):
     )
 
 
-def _sl2sq_pi_n_product(spec, p):
+def _sl2sq_pi_n_product(p):
     a2 = p["a2"]
-    return CombinatorialData(
-        2,
-        4,
+    return dict(
         sigma=((1, 0),),
         colors=_colors(("clubs", (2, 0), 1, {"a1"}), ("diamonds", (0, a2), 2, {"a2"})),
         f=dh(2, (1, (2, 0), 1), (2, (0, a2), 1)),
@@ -1061,11 +706,9 @@ def _sl2sq_pi_n_product(spec, p):
     )
 
 
-def _sl2sq_pi_n_diag(spec, p):
+def _sl2sq_pi_n_diag(p):
     a2 = p["a2"]
-    return CombinatorialData(
-        2,
-        4,
+    return dict(
         sigma=((1, 1),),
         colors=_colors(("clubs", (1, 1), 1, {"a1"}), ("diamonds", (a2, -a2), 2, {"a2"})),
         f=dh(2, (1, (1, 1), 1), (2, (a2, -a2), 1)),
@@ -1079,11 +722,9 @@ def _sl2sq_pi_n_diag(spec, p):
     )
 
 
-def _sl2sq_horo2(spec, p):
+def _sl2sq_horo2(p):
     a1, a2, b2 = p["a1"], p["a2"], p["b2"]
-    return CombinatorialData(
-        2,
-        4,
+    return dict(
         sigma=(),
         colors=_colors(("clubs", (a1, 0), 2, {"a1"}), ("hearts", (a2, b2), 2, {"a2"})),
         f=dh(1, (2, (a1, 0), 1), (2, (a2, b2), 1)),
@@ -1097,11 +738,9 @@ def _sl2sq_horo2(spec, p):
     )
 
 
-def _sl3_horo2(spec, p):
+def _sl3_horo2(p):
     a1 = p["a1"]
-    return CombinatorialData(
-        2,
-        4,
+    return dict(
         sigma=(),
         colors=_colors(("clubs", (a1, 0), 3, {"a1"})),
         f=dh(Fraction(1, 2), (3, (a1, 0), 2)),
@@ -1112,50 +751,280 @@ def _sl3_horo2(spec, p):
     )
 
 
-_BUILDERS = {
-    "toric": _toric,
-    "SL2.T": _sl2_t,
-    "SL2.N": _sl2_n,
-    "SL2xGm.horo": _sl2gm_horo,
-    "SL2sq.diagSL2": _sl2sq_diag_sl2,
-    "SL2sq.NdiagSL2": _sl2sq_ndiag_sl2,
-    "SL2sq.horo1": _sl2sq_horo1,
-    "SL3.horo.Q": _sl3_horo_q,
-    "SL2xGm.T": _sl2gm_t,
-    "SL2xGm.N.product": _sl2gm_n_product,
-    "SL2xGm.N.diag": _sl2gm_n_diag,
-    "SL3.sym": _sl3_sym,
-    "SL3.horosym": _sl3_horosym,
-    "SL3.Nhorosym": _sl3_nhorosym,
-    "SL3.horo.B": _sl3_horo_b,
-    "Sp4.Nsym": _sp4_nsym,
-    "Sp4.sym": _sp4_sym,
-    "SL3xSL2.QxT": _sl3sl2_qxt,
-    "SL3xSL2.QxNT": _sl3sl2_qxnt,
-    "SL2cube.BdiagSL2": _sl2cube_b_diag,
-    "SL2cube.BNdiagSL2": _sl2cube_b_ndiag,
-    "SL2cube.BBxT": _sl2cube_bbxt,
-    "SL2cube.BBxNT": _sl2cube_bbxnt,
-    "SL2cube.horo": _sl2cube_horo,
-    "SL3xSL2.horo": _sl3sl2_horo,
-    "Sp4.horo.short": _sp4_horo_short,
-    "Sp4.horo.long": _sp4_horo_long,
-    "SL4.horo": _sl4_horo,
-    "SL2sqxGm.diagSL2": _sl2sqgm_diag_sl2,
-    "SL2sqxGm.NdiagSL2": _sl2sqgm_ndiag_sl2,
-    "SL2sq.GL2": _sl2sq_gl2,
-    "SL2sq.diagB": _sl2sq_diag_b,
-    "SL2sq.NdiagB": _sl2sq_ndiag_b,
-    "SL2sq.TxT": _sl2sq_txt,
-    "SL2sq.NTxT": _sl2sq_ntxt,
-    "SL2sq.NTxNT": _sl2sq_ntxnt,
-    "SL2sq.diagNT": _sl2sq_diag_nt,
-    "SL2sq.PI-T": _sl2sq_pi_t,
-    "SL2sq.PI-N.product": _sl2sq_pi_n_product,
-    "SL2sq.PI-N.diag": _sl2sq_pi_n_diag,
-    "SL2sq.horo2": _sl2sq_horo2,
-    "SL3.horo2": _sl3_horo2,
-}
+# ---------------------------------------------------------------------------
+# family table
+
+
+FAMILY_ROWS: list[FamilySpec] = [
+    # dimension 1
+    FamilySpec("toric", 1, 1, _toric, "n = 1", _pb({"n": 1})),
+
+    # dimension 2, rank 1
+    FamilySpec("SL2.T", 2, 1, _sl2_t, "no parameters", _pb({})),
+    FamilySpec("SL2.N", 2, 1, _sl2_n, "no parameters", _pb({})),
+    FamilySpec(
+        "SL2xGm.horo",
+        2,
+        1,
+        _sl2gm_horo,
+        "n = 1, a1 in {0, 1}",  # a1 >= 2 has no locally factorial Fano embedding
+        _pb({"n": 1, "a1": 0}, {"n": 1, "a1": 1}),
+        product_note="a1=0: product P1 x P1 with the toric factor",
+    ),
+
+    # dimension 2, rank 2
+    FamilySpec("toric", 2, 2, _toric, "n = 2", _pb({"n": 2})),
+
+    # dimension 3, rank 1
+    FamilySpec("SL2sq.diagSL2", 3, 1, _sl2sq_diag_sl2, "no parameters", _pb({})),
+    FamilySpec("SL2sq.NdiagSL2", 3, 1, _sl2sq_ndiag_sl2, "no parameters", _pb({})),
+    FamilySpec(
+        "SL2sq.horo1",
+        3,
+        1,
+        _sl2sq_horo1,
+        "a1 >= |a2|, both in {-1, 0, 1}",  # |ai| >= 2 excluded by the color conditions
+        _pb({"a1": 0, "a2": 0}, {"a1": 1, "a2": 0}, {"a1": 1, "a2": 1}, {"a1": 1, "a2": -1}),
+        product_note="a2=0: product of P1 with a rank-one horospherical SL2xGm space",
+    ),
+    FamilySpec(
+        "SL3.horo.Q",
+        3,
+        1,
+        _sl3_horo_q,
+        "a1 in {0, 1, 2}",  # a1/3 interior forces a1 <= 2; vertex forces a1 = 1
+        _pb({"a1": 0}, {"a1": 1}, {"a1": 2}),
+        product_note="a1=0: product P2 x Gm",
+    ),
+
+    # dimension 3, rank 2
+    FamilySpec(
+        "SL2xGm.T",
+        3,
+        2,
+        _sl2gm_t,
+        "a1 in {0, 1, 2}",  # no reflexive polytopes for a1 >= 3
+        _pb({"a1": 0}, {"a1": 1}, {"a1": 2}),
+        product_note="a1=0: product of SL2/T surface with the torus factor",
+    ),
+    FamilySpec("SL2xGm.N.product", 3, 2, _sl2gm_n_product, "no parameters", _pb({})),
+    FamilySpec("SL2xGm.N.diag", 3, 2, _sl2gm_n_diag, "no parameters", _pb({})),
+    FamilySpec(
+        "SL2xGm.horo",
+        3,
+        2,
+        _sl2gm_horo,
+        "n = 2, a1 in {0, 1}",
+        _pb({"n": 2, "a1": 0}, {"n": 2, "a1": 1}),
+        product_note="a1=0: products of P1 with the five toric surfaces",
+    ),
+
+    # dimension 4, rank 1
+    FamilySpec("SL3.sym", 4, 1, _sl3_sym, "no parameters", _pb({})),
+    FamilySpec("SL3.horosym", 4, 1, _sl3_horosym, "no parameters", _pb({})),
+    FamilySpec("SL3.Nhorosym", 4, 1, _sl3_nhorosym, "no parameters", _pb({})),  # zero embeddings
+    FamilySpec(
+        "SL3.horo.B",
+        4,
+        1,
+        _sl3_horo_b,
+        "a1 >= |a2|, both in {-1, 0, 1}",
+        _pb({"a1": 0, "a2": 0}, {"a1": 1, "a2": 0}, {"a1": 1, "a2": 1}, {"a1": 1, "a2": -1}),
+        product_note="(0,0): product W x P1",
+    ),
+    FamilySpec("Sp4.Nsym", 4, 1, _sp4_nsym, "no parameters", _pb({})),
+    FamilySpec("Sp4.sym", 4, 1, _sp4_sym, "no parameters", _pb({})),
+    FamilySpec(
+        "SL3xSL2.QxT", 4, 1, _sl3sl2_qxt, "no parameters", _pb({}),
+        product_note="P2 x (SL2/T)",
+    ),
+    FamilySpec(
+        "SL3xSL2.QxNT", 4, 1, _sl3sl2_qxnt, "no parameters", _pb({}),
+        product_note="P2 x (SL2/N(T))",
+    ),
+    FamilySpec(
+        "SL2cube.BdiagSL2", 4, 1, _sl2cube_b_diag, "no parameters", _pb({}),
+        product_note="P1 x Q3",
+    ),
+    FamilySpec(
+        "SL2cube.BNdiagSL2", 4, 1, _sl2cube_b_ndiag, "no parameters", _pb({}),
+        product_note="P1 x P3",
+    ),
+    FamilySpec(
+        "SL2cube.BBxT", 4, 1, _sl2cube_bbxt, "no parameters", _pb({}),
+        product_note="P1 x P1 x (SL2/T)",
+    ),
+    FamilySpec(
+        "SL2cube.BBxNT", 4, 1, _sl2cube_bbxnt, "no parameters", _pb({}),
+        product_note="P1 x P1 x (SL2/N(T))",
+    ),
+    FamilySpec(
+        "SL2cube.horo",
+        4,
+        1,
+        _sl2cube_horo,
+        "a1 >= |a2| >= |a3| in {-1, 0, 1}, signs up to a global flip",
+        # (1,-1,-1) is the same subgroup as (1,1,-1) after replacing chi by -chi
+        # and permuting the factors, so it is not listed separately.
+        _pb(
+            {"a1": 0, "a2": 0, "a3": 0},
+            {"a1": 1, "a2": 0, "a3": 0},
+            {"a1": 1, "a2": 1, "a3": 0},
+            {"a1": 1, "a2": -1, "a3": 0},
+            {"a1": 1, "a2": 1, "a3": 1},
+            {"a1": 1, "a2": 1, "a3": -1},
+        ),
+        product_note="a3=0: product of P1 with a rank-one horospherical SL2^2xGm space",
+    ),
+    FamilySpec(
+        "SL3xSL2.horo",
+        4,
+        1,
+        _sl3sl2_horo,
+        "a1 in {0, 1, 2}; a3 in {-1, 0, 1}, a3 >= 0 when a1 = 0",
+        _pb(
+            {"a1": 0, "a3": 0},
+            {"a1": 0, "a3": 1},
+            {"a1": 1, "a3": 0},
+            {"a1": 2, "a3": 0},
+            {"a1": 1, "a3": 1},
+            {"a1": 1, "a3": -1},
+            {"a1": 2, "a3": 1},
+            {"a1": 2, "a3": -1},
+        ),
+        product_note="a1=0 or a3=0: product with P2 or P1 factors",
+    ),
+    FamilySpec(
+        "Sp4.horo.short",
+        4,
+        1,
+        _sp4_horo_short,
+        "a1 in {0, 1, 2, 3}",  # m = 4 allows a1/4 interior up to a1 = 3
+        _pb({"a1": 0}, {"a1": 1}, {"a1": 2}, {"a1": 3}),
+        product_note="a1=0: P3 x P1",
+    ),
+    FamilySpec(
+        "Sp4.horo.long",
+        4,
+        1,
+        _sp4_horo_long,
+        "a2 in {0, 1, 2}",
+        _pb({"a2": 0}, {"a2": 1}, {"a2": 2}),
+        product_note="a2=0: Q3 x P1",
+    ),
+    FamilySpec(
+        "SL4.horo",
+        4,
+        1,
+        _sl4_horo,
+        "a1 in {0, 1, 2, 3}",
+        _pb({"a1": 0}, {"a1": 1}, {"a1": 2}, {"a1": 3}),
+        product_note="a1=0: P3 x P1",
+    ),
+
+    # dimension 4, rank 2
+    FamilySpec("SL2sqxGm.diagSL2", 4, 2, _sl2sqgm_diag_sl2, "no parameters", _pb({})),
+    FamilySpec("SL2sqxGm.NdiagSL2", 4, 2, _sl2sqgm_ndiag_sl2, "no parameters", _pb({})),
+    FamilySpec("SL2sq.GL2", 4, 2, _sl2sq_gl2, "no parameters", _pb({})),
+    FamilySpec("SL2sq.diagB", 4, 2, _sl2sq_diag_b, "no parameters", _pb({})),
+    FamilySpec("SL2sq.NdiagB", 4, 2, _sl2sq_ndiag_b, "no parameters", _pb({})),
+    FamilySpec("SL2sq.TxT", 4, 2, _sl2sq_txt, "no parameters", _pb({})),
+    FamilySpec("SL2sq.NTxT", 4, 2, _sl2sq_ntxt, "no parameters", _pb({})),
+    FamilySpec("SL2sq.NTxNT", 4, 2, _sl2sq_ntxnt, "no parameters", _pb({})),
+    FamilySpec("SL2sq.diagNT", 4, 2, _sl2sq_diag_nt, "no parameters", _pb({})),
+    FamilySpec(
+        "SL2sq.PI-T",
+        4,
+        2,
+        _sl2sq_pi_t,
+        "a1 in {0, 1, 2}, a2 in {0, 1}",  # a1 >= 3 empty; a2 >= 2 excluded by the color point conditions
+        _pb(
+            {"a1": 0, "a2": 0},
+            {"a1": 1, "a2": 0},
+            {"a1": 2, "a2": 0},
+            {"a1": 0, "a2": 1},
+            {"a1": 1, "a2": 1},
+            {"a1": 2, "a2": 1},
+        ),
+        product_note="a2=0: products of P1 with the type-T threefolds (14 of them)",
+    ),
+    FamilySpec(
+        "SL2sq.PI-N.product",
+        4,
+        2,
+        _sl2sq_pi_n_product,
+        "a2 in {0, 1}",
+        _pb({"a2": 0}, {"a2": 1}),
+        product_note="a2=0: products of P1 with the N-product threefolds",
+    ),
+    FamilySpec(
+        "SL2sq.PI-N.diag",
+        4,
+        2,
+        _sl2sq_pi_n_diag,
+        "a2 in {0, 1}",
+        _pb({"a2": 0}, {"a2": 1}),
+        product_note="a2=0: products of P1 with the N-diagonal threefolds",
+    ),
+    FamilySpec(
+        "SL2sq.horo2",
+        4,
+        2,
+        _sl2sq_horo2,
+        "(a2,b2) in {(0,0),(0,1),(1,2),(1,3),(2,3)} with a1 = 1 unless a2 = b2 = 0",
+        _pb(
+            {"a1": 0, "a2": 0, "b2": 0},
+            {"a1": 1, "a2": 0, "b2": 0},
+            {"a1": 1, "a2": 0, "b2": 1},
+            {"a1": 1, "a2": 1, "b2": 2},
+            {"a1": 1, "a2": 1, "b2": 3},  # explored and empty
+            {"a1": 1, "a2": 2, "b2": 3},
+        ),
+        product_note="a2=b2=0: products of P1 with rank-two horospherical SL2xGm^2 threefolds",
+    ),
+    FamilySpec(
+        "SL3.horo2",
+        4,
+        2,
+        _sl3_horo2,
+        "a1 in {0, 1, 2}",
+        _pb({"a1": 0}, {"a1": 1}, {"a1": 2}),
+        product_note="a1=0: products of P2 with the five toric surfaces",
+    ),
+]
+
+# rank 0 static rows
+FAMILY_ROWS += [
+    FamilySpec("rank0", d, 0, None, f"row {k}: {g} acting on {s}", _pb({"row": k}))
+    for k, (g, s, d, _, _) in enumerate(RANK0_TABLE)
+]
+
+
+def families(dim_filter=None, rank_filter=None) -> list[FamilySpec]:
+    """Registry rows whose dimension and rank match the filters."""
+    dims = set(dim_filter) if dim_filter is not None else set(DIMS)
+    ranks = set(rank_filter) if rank_filter is not None else set(RANKS)
+    return [f for f in FAMILY_ROWS if f.dim in dims and f.rank in ranks]
+
+
+def family_spec(fid: str, params: dict) -> FamilySpec:
+    key = params_key(params)
+    for f in FAMILY_ROWS:
+        if f.id == fid and key in f.param_bound:
+            return f
+    for f in FAMILY_ROWS:
+        if f.id == fid:
+            raise ParamsOutOfDomain(f"{fid}: params {params} not in the admissible bound")
+    raise UnknownFamily(fid)
+
+
+def build(fid: str, params: dict | None = None) -> CombinatorialData:
+    """The combinatorial data of one homogeneous space, in its fixed M-basis."""
+    params = dict(params or {})
+    spec = family_spec(fid, params)
+    if spec.builder is None:
+        raise UnknownFamily(f"{fid} has no combinatorial data (static rank-0 entry)")
+    return CombinatorialData(spec.rank, spec.dim, **spec.builder(params))
 
 
 # ---------------------------------------------------------------------------
@@ -1188,16 +1057,31 @@ def data_preserving_permutation(data: CombinatorialData, M) -> tuple | None:
                 break
         else:
             return None
-    # f invariance: f(M^T x) == f(x)
-    rank = data.rank
-    exprs = [
-        Polynomial.affine(rank, 0, tuple(M[i][j] for i in range(rank)))
-        for j in range(rank)
-    ]
-    f = data.f.expand(rank)
-    if f.substitute(exprs) != f:
+    # f invariance: f(M^T x) == f(x), where c + <l, M^T x> = c + <M l, x>
+    moved = [(c, apply_matrix(M, lin), mult) for c, lin, mult in data.f.factors]
+    if _factored(data.f.prefactor, moved) != _factored(data.f.prefactor, data.f.factors):
         return None
     return tuple(perm)
+
+
+def _factored(prefactor, factors) -> tuple:
+    """The prefactor and the factor multiset of prefactor * prod (c + <l, x>)^mult,
+    normalised so that equal densities give equal results.
+
+    Each factor is divided by c, or, when c = 0, by the first nonzero entry
+    of l; factors with l = 0 fold into the prefactor.  The normalised linear
+    factors are irreducible and pairwise non-associate, so by unique
+    factorisation in Q[x] two densities are equal exactly when these agree.
+    """
+    pre, out = Fraction(prefactor), Counter()
+    for c, lin, mult in factors:
+        if not any(lin):
+            pre *= c**mult
+            continue
+        unit = Fraction(c or next(a for a in lin if a))
+        pre *= unit**mult
+        out[c / unit, tuple(a / unit for a in lin)] += mult
+    return pre, out
 
 
 def _anchors(data: CombinatorialData) -> list[tuple[int, int]]:

@@ -32,6 +32,7 @@ from .core import (
     BOUNDARY,
     INTERIOR,
     CombinatorialData,
+    NotReflexive,
     RankMismatch,
     check_reflexive,
     edge_violation,
@@ -49,10 +50,6 @@ from .registry import FULL_UNIMODULAR, SHEAR, TRIVIAL, SymmetryGroup, build, sym
 
 class BoundTooTight(RuntimeError):
     """An accepted polytope touched the search box; results may be incomplete."""
-
-
-class NotReflexive(ValueError):
-    pass
 
 
 class InvalidConfig(ValueError):

@@ -266,6 +266,22 @@ def test_cli_jobs_out_of_range(monkeypatch, capsys):
     assert f"jobs must be an integer in 1..{MAX_JOBS}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["--dim", "5"], ["--dim", "0"], ["--rank", "3"], ["--dim", "2", "--rank", "-1"]]
+)
+def test_cli_catalog_scope_out_of_range(argv, monkeypatch, capsys):
+    # dims outside 1..4 and ranks outside 0..2 are usage errors, reported
+    # before any search
+    monkeypatch.setattr("sphfano.catalog._job", lambda job: pytest.fail("a family was searched"))
+    assert main(["catalog", *argv]) == 2
+    assert "dims must lie in 1..4 and ranks in 0..2" in capsys.readouterr().err
+
+
+def test_cli_repeated_param(capsys):
+    assert main(["enumerate", "--family", "toric", "--params", "n=2,n=1"]) == 2
+    assert "parameter 'n' given twice" in capsys.readouterr().err
+
+
 def test_serial_build_does_not_import_multiprocessing():
     # only jobs > 1 loads multiprocessing, so a serial build or a check does not
     code = (

@@ -344,20 +344,20 @@ def test_integrate_unimodular_equivariance():
     for _ in range(20):
         P = random_lattice_polygon_containing_origin(rng)
         # int over M(P) of f == int over P of f o M
-        xs = Polynomial.affine(2, 0, (M[0][0], M[0][1]))
-        ys = Polynomial.affine(2, 0, (M[1][0], M[1][1]))
-        assert integrate(transform_polytope(M, P), f) == integrate(P, f.substitute([xs, ys]))
+        assert integrate(transform_polytope(M, P), f) == sympy_integral(P, f, M)
 
 
-def sympy_integral(P, f):
-    """The integral of f over the polygon P by sympy's polytope_integrate."""
-    from sympy import Rational
+def sympy_integral(P, f, M=((1, 0), (0, 1))):
+    """The integral of f o M over the polygon P by sympy's polytope_integrate."""
+    from sympy import Rational, expand
     from sympy.abc import x, y
     from sympy.geometry import Polygon
     from sympy.integrals.intpoly import polytope_integrate
 
-    expr = sum(
-        Rational(c.numerator, c.denominator) * x ** e[0] * y ** e[1] for e, c in f.coeffs.items()
+    X, Y = M[0][0] * x + M[0][1] * y, M[1][0] * x + M[1][1] * y
+    # polytope_integrate reads its integrand monomial by monomial, so expand it
+    expr = expand(
+        sum(Rational(c.numerator, c.denominator) * X**i * Y**j for (i, j), c in f.coeffs.items())
     )
     # polytope_integrate takes the clockwise orientation as positive
     clockwise = Polygon(*reversed(P.vertices))

@@ -1,6 +1,8 @@
 """Registry consistency: data invariants, symmetry groups, parameter bounds."""
 
+import importlib.util
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -166,6 +168,18 @@ def test_symmetry_groups_match_recorded_table():
         assert derived == e
 
 
+def test_registry_matches_recorded_data():
+    """The `families` text, the `families --json` rows and the data of all 90
+    instances equal, line by line, what tools/record_registry.py recorded."""
+    path = Path(__file__).parents[1] / "tools" / "record_registry.py"
+    spec = importlib.util.spec_from_file_location("record_registry", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    recorded = (Path(__file__).parent / "data" / "registry.json").read_text()
+    assert len(json.loads(recorded)["instances"]) == 90
+    assert tool.registry_text() == recorded
+
+
 def _synthetic(*rhos):
     return CombinatorialData(
         rank=2,
@@ -178,6 +192,26 @@ def _synthetic(*rhos):
         group_name="synthetic",
         space_type="synthetic",
     )
+
+
+@pytest.mark.parametrize(
+    "f, M, preserved",
+    [
+        # (1 + x)(2 + 2y) = 2(1 + x)(1 + y), symmetric under the swap
+        (dh(1, (1, (1, 0), 1), (2, (0, 2), 1)), ((0, 1), (1, 0)), True),
+        # xy = (-x)(-y)
+        (dh(1, (0, (1, 0), 1), (0, (0, 1), 1)), ((-1, 0), (0, -1)), True),
+        (dh(1, (0, (1, 0), 1)), ((-1, 0), (0, -1)), False),
+        (dh(1, (0, (1, 0), 2)), ((-1, 0), (0, -1)), True),
+        (dh(3, (2, (0, 0), 1), (1, (1, 1), 1)), ((0, 1), (1, 0)), True),
+        (dh(1, (1, (1, 0), 1), (1, (0, 2), 1)), ((0, 1), (1, 0)), False),
+    ],
+)
+def test_density_invariance_up_to_factor_scaling(f, M, preserved):
+    # the factors of f(M^T x) are compared with those of f after scaling
+    # each to constant 1 (or first coefficient 1), as in unique factorisation
+    data = replace(_synthetic(), f=f)
+    assert (data_preserving_permutation(data, M) is not None) == preserved
 
 
 @pytest.mark.parametrize(
@@ -225,7 +259,7 @@ def test_bound_safety_out_of_bound_params_give_nothing():
 
     def forced(fid, params):
         spec = [f for f in R.FAMILY_ROWS if f.id == fid][0]
-        return R._BUILDERS[fid](spec, params)
+        return CombinatorialData(spec.rank, spec.dim, **spec.builder(params))
 
     # type T at a1 = 3 (odd table)
     data = forced("SL2xGm.T", {"a1": 3})
