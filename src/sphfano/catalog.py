@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
-from .geometry import RationalPolytope, convex_hull, rat_str
+from .geometry import convex_hull, rat_str
 from .invariants import all_invariants
 from .registry import DIMS, RANK0_TABLE, RANKS, build, families, params_key, symmetry_group
 from .search import EnumConfig, InvalidConfig, canonical_form, enumerate_polytopes
@@ -92,12 +92,7 @@ def _load_identifier_map():
     for entry in raw:
         fid = entry["family"]
         params = entry["params"]
-        verts = [[Fraction(c) for c in v] for v in entry["vertices"]]
-        rank = len(verts[0])
-        if rank == 1:
-            P = RationalPolytope(1, tuple(sorted(tuple(v) for v in verts)))
-        else:
-            P = convex_hull(verts, 2)
+        P = convex_hull(entry["vertices"], len(entry["vertices"][0]))
         data = build(fid, params)
         group = symmetry_group(fid, params)
         cp = canonical_form(data, P, group=group, check=False)
@@ -173,10 +168,8 @@ def build_catalog(dims=None, ranks=None, cfg=None, jobs=1, warn=None) -> Catalog
     """Enumerate everything in scope and attach identifiers."""
     if type(jobs) is not int or not 1 <= jobs <= MAX_JOBS:
         raise InvalidConfig(f"jobs must be an integer in 1..{MAX_JOBS}, got {jobs!r}")
-    dims = sorted(set(dims)) if dims else list(DIMS)
-    ranks = sorted(set(ranks)) if ranks else list(RANKS)
-    if not set(dims).issubset(DIMS) or not set(ranks).issubset(RANKS):
-        raise InvalidConfig(f"dims must lie in 1..4 and ranks in 0..2, got {dims} and {ranks}")
+    dims = dims or DIMS
+    ranks = ranks or RANKS
     cfg = cfg or default_config()
     warn = warn or (lambda msg: print(f"warning: {msg}", file=sys.stderr))
 
@@ -240,18 +233,18 @@ def build_catalog(dims=None, ranks=None, cfg=None, jobs=1, warn=None) -> Catalog
 
 def counts_table(catalog: Catalog):
     """The rank-by-dimension grid and its grand total."""
-    grid = {(rank, dim): catalog.counts.get((rank, dim), 0) for rank in (0, 1, 2) for dim in (1, 2, 3, 4)}
+    grid = {(rank, dim): catalog.counts.get((rank, dim), 0) for rank in RANKS for dim in DIMS}
     total = sum(grid.values())
     return grid, total
 
 
 def format_counts(catalog: Catalog) -> str:
     grid, total = counts_table(catalog)
-    lines = ["dim        1    2    3    4"]
-    for rank in (0, 1, 2):
-        row = [grid[(rank, dim)] for dim in (1, 2, 3, 4)]
+    lines = ["dim    " + "".join(f"{dim:5d}" for dim in DIMS)]
+    for rank in RANKS:
+        row = [grid[(rank, dim)] for dim in DIMS]
         lines.append(f"rank {rank}  " + "".join(f"{c:5d}" for c in row))
-    colsum = [sum(grid[(r, d)] for r in (0, 1, 2)) for d in (1, 2, 3, 4)]
+    colsum = [sum(grid[(r, d)] for r in RANKS) for d in DIMS]
     lines.append("sum     " + "".join(f"{c:5d}" for c in colsum))
     lines.append(f"total {total}")
     return "\n".join(lines)

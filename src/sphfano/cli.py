@@ -21,7 +21,7 @@ from .catalog import (
     load_expected_csv,
     verify,
 )
-from .core import check_reflexive
+from .core import RankMismatch, check_reflexive
 from .geometry import RationalPolytope, convex_hull, parse_vec, rat_str
 from .invariants import all_invariants
 from .registry import ParamsOutOfDomain, UnknownFamily, build, families, registry_json
@@ -46,7 +46,7 @@ def _parse_params(text: str) -> dict:
 
 
 def _cmd_families(args) -> int:
-    dims = [args.dim] if args.dim else None
+    dims = [args.dim] if args.dim is not None else None
     ranks = [args.rank] if args.rank is not None else None
     rows = families(dims, ranks)
     if args.json:
@@ -84,6 +84,8 @@ def _cmd_check(args) -> int:
     params = _parse_params(args.params or "")
     data = build(args.family, params)
     verts = [parse_vec(v) for v in args.vertices.split(";")]
+    if any(len(v) != data.rank for v in verts):
+        raise RankMismatch(f"vertices {args.vertices} do not all have rank {data.rank}")
     if data.rank == 1:
         P = RationalPolytope(1, tuple(sorted(tuple(v) for v in verts)))
     else:

@@ -9,8 +9,9 @@ density as an explicit product of affine forms.
 `check_reflexive` evaluates, literally and exactly, the four conditions
 defining the polytopes that classify locally factorial Fano equivariant
 embeddings.  It scales the polytope and the color points to integers once
-and tests C1, C2 and C4 on the integer kernel whose `edge_violation` (C2
-and C4 on one edge) is the pair test of the rank-2 walk.
+and tests C1 and C2 on the half-planes of `geometry`'s integer kernel, and
+C4 facet by facet; `edge_violation` (C2 and C4 on one edge) is the pair test
+of the rank-2 walk.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from fractions import Fraction
 from .geometry import (
     Polynomial,
     RationalPolytope,
+    edge,
+    half_planes,
     is_lattice_basis,
+    outside,
     primitive,
     rat_str,
     parse_rat,
@@ -203,7 +207,7 @@ def cone_over_face_meets_interior(data: CombinatorialData, face_vertices) -> boo
 
 
 # ---------------------------------------------------------------------------
-# the integer kernel: conditions C1, C2 and C4 on points scaled to integers
+# conditions C1, C2 and C4 on points scaled to integers
 
 
 def scale_to_ints(data: CombinatorialData, points):
@@ -211,18 +215,6 @@ def scale_to_ints(data: CombinatorialData, points):
     and the colors' m, so that every scaled coordinate is an integer."""
     S, pts = scaled_ints(points, *(c.m for c in data.colors))
     return S, pts, [tuple(r * S // c.m for r in c.rho) for c in data.colors]
-
-
-def _edge(p, q):
-    """(outward normal, support, vertices) of the edge p -> q of a
-    counterclockwise polygon; the support is positive iff 0 lies strictly left."""
-    return (q[1] - p[1], p[0] - q[0]), p[0] * q[1] - p[1] * q[0], (p, q)
-
-
-def _outside(facet, x) -> bool:
-    """Whether x lies strictly outside the half-space <normal, x> <= support."""
-    n, support, _ = facet
-    return (n[0] * x[0] if len(x) == 1 else n[0] * x[0] + n[1] * x[1]) > support
 
 
 def _on_face(face_vertices, q) -> bool:
@@ -269,11 +261,11 @@ def edge_violation(data: CombinatorialData, p, q, colors, scale: int):
     """C2 and C4 on the counterclockwise edge p -> q, points scaled as for
     `facet_violation`: a polygon holds a point exactly when the point lies
     weakly left of each of its edges."""
-    edge = _edge(p, q)
+    e = edge(p, q)
     for c, x in zip(data.colors, colors):
-        if _outside(edge, x):
+        if outside(e, x):
             return "C2", f"color {c.label} lies right of the edge"
-    return facet_violation(data, edge[2], colors, scale)
+    return facet_violation(data, e[2], colors, scale)
 
 
 class NotReflexive(ValueError):
@@ -295,15 +287,12 @@ def check_reflexive(data: CombinatorialData, P: RationalPolytope) -> Verdict:
         raise RankMismatch(f"polytope rank {P.rank} against data rank {data.rank}")
     violations: list[tuple[str, str]] = []
     scale, verts, colors = scale_to_ints(data, P.vertices)
-    if P.rank == 1:
-        fs = [((-1,), -verts[0][0], verts[:1]), ((1,), verts[1][0], verts[1:])]
-    else:
-        fs = [_edge(p, q) for p, q in zip(verts, verts[1:] + verts[:1])]
+    fs = half_planes(verts)
     if any(support <= 0 for _, support, _ in fs):
         violations.append(("C1", "origin is not strictly interior"))
 
     for c, q in zip(data.colors, colors):
-        if any(_outside(f, q) for f in fs):
+        if any(outside(f, q) for f in fs):
             violations.append(("C2", f"color {c.label} point {c.point()} outside the polytope"))
 
     color_locations = set(colors)

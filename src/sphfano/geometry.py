@@ -1,10 +1,11 @@
 """Exact rational polytope primitives in one and two dimensions.
 
 All coordinates are `fractions.Fraction`; there is no floating point
-anywhere.  The rank-2 kernels `integrate` and `transform_polytope` run on the
-vertices scaled to integers (`scaled_ints`) and return `Fraction`s.
-Polytopes are stored by their vertices in a canonical order so that equality
-of polytopes is equality of vertex tuples:
+anywhere.  The kernels run on the vertices scaled to integers (`scaled_ints`)
+and return `Fraction`s; `edge`, `outside` and `half_planes` are the one
+half-plane test, shared by the hull, `facets`, `contains`, `dual`, `core` and
+the walk.  Polytopes are stored by their vertices in a canonical order so
+that equality of polytopes is equality of vertex tuples:
 
 * rank 1: ``(low, high)``
 * rank 2: strictly counterclockwise, starting from the lexicographically
@@ -41,10 +42,6 @@ def vec(*coords) -> Vec:
     return tuple(Fraction(c) for c in coords)
 
 
-def _cross(a: Vec, b: Vec) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def primitive(v: tuple[int, ...]) -> tuple[int, ...]:
     """v divided by the gcd of its entries (v must be a nonzero integer vector)."""
     if all(c == 0 for c in v):
@@ -60,6 +57,25 @@ def scaled_ints(points, *denominators) -> tuple[int, list[tuple[int, ...]]]:
     so that every scaled coordinate is an integer."""
     S = math.lcm(*(c.denominator for p in points for c in p), *denominators)
     return S, [tuple(c.numerator * (S // c.denominator) for c in p) for p in points]
+
+
+def edge(p, q):
+    """(outward normal, support, vertices) of the edge p -> q of a counterclockwise
+    polygon on integer points; the support is positive iff 0 lies strictly left."""
+    return (q[1] - p[1], p[0] - q[0]), p[0] * q[1] - p[1] * q[0], (p, q)
+
+
+def outside(facet, x) -> bool:
+    """Whether the integer point x lies strictly outside <normal, x> <= support."""
+    n, support, _ = facet
+    return (n[0] * x[0] if len(x) == 1 else n[0] * x[0] + n[1] * x[1]) > support
+
+
+def half_planes(pts) -> list:
+    """The facets, as `edge` gives them, of the polytope with integer vertices pts."""
+    if len(pts[0]) == 1:
+        return [((-1,), -pts[0][0], pts[:1]), ((1,), pts[1][0], pts[1:])]
+    return [edge(p, q) for p, q in zip(pts, pts[1:] + pts[:1])]
 
 
 def rational_primitive(v: Vec) -> tuple[int, ...]:
@@ -118,34 +134,34 @@ class RationalPolytope:
 
 def convex_hull(points, rank: int) -> RationalPolytope:
     """Hull of rational points, stored canonically; non-extreme points are dropped."""
-    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    # sorted, deduplicated and hulled scaled to ints, which keeps their order
+    given = dict(zip(scaled_ints(pts)[1], pts))
+    ints = sorted(given)
     if rank == 1:
-        if len(pts) < 2:
+        if len(ints) < 2:
             raise DegenerateInput("rank-1 hull needs two distinct points")
-        return RationalPolytope(1, (pts[0], pts[-1]))
+        return RationalPolytope(1, (given[ints[0]], given[ints[-1]]))
 
-    if len(pts) < 3:
+    if len(ints) < 3:
         raise DegenerateInput("rank-2 hull needs three points")
 
-    # Andrew's monotone chain; strict inequalities drop collinear points.
+    # Andrew's monotone chain; strict left turns drop collinear points
     def chain(seq):
-        out: list[Vec] = []
+        out: list[tuple[int, int]] = []
         for p in seq:
-            while len(out) >= 2 and _cross(
-                (out[-1][0] - out[-2][0], out[-1][1] - out[-2][1]),
-                (p[0] - out[-1][0], p[1] - out[-1][1]),
-            ) <= 0:
+            while len(out) >= 2 and not outside(edge(out[-1], out[-2]), p):
                 out.pop()
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
+    lower = chain(ints)
+    upper = chain(reversed(ints))
+    hull = [given[p] for p in lower[:-1] + upper[:-1]]
     if len(hull) < 3:
         raise DegenerateInput("points are collinear")
-    # counterclockwise from hull[0] = pts[0], the lexicographic minimum, which
-    # the lower chain never pops
+    # counterclockwise from hull[0], the lexicographic minimum, which the
+    # lower chain never pops
     return RationalPolytope(2, tuple(hull))
 
 
@@ -157,41 +173,33 @@ def vertices_ccw_store(verts) -> tuple[Vec, ...]:
 
 
 def facets(P: RationalPolytope) -> tuple[Facet, ...]:
-    if P.rank == 1:
-        lo, hi = P.vertices
-        return (
-            Facet((-1,), -lo[0], (0,)),
-            Facet((1,), hi[0], (1,)),
-        )
+    """Each half-plane <n, X> <= s of P scaled by D, n of gcd g, is <n/g, x> <= s/(g D)."""
+    D, pts = scaled_ints(P.vertices)
     out = []
-    k = len(P.vertices)
-    for i in range(k):
-        a = P.vertices[i]
-        b = P.vertices[(i + 1) % k]
-        d = (b[0] - a[0], b[1] - a[1])
-        n = rational_primitive((d[1], -d[0]))  # outward normal for ccw order
-        out.append(Facet(n, n[0] * a[0] + n[1] * a[1], (i, (i + 1) % k)))
+    for i, (n, s, _) in enumerate(half_planes(pts)):
+        g = math.gcd(*n)
+        incident = tuple((i + j) % len(pts) for j in range(P.rank))
+        out.append(Facet(tuple(c // g for c in n), Fraction(s, g * D), incident))
     return tuple(out)
 
 
 def contains(P: RationalPolytope, x, strict: bool = False) -> bool:
-    x = tuple(Fraction(c) for c in x)
-    for f in facets(P):
-        v = sum(n * c for n, c in zip(f.normal, x))
-        if v > f.support or (strict and v == f.support):
-            return False
-    return True
+    """Whether x lies in P, or in its interior if strict, with P and x scaled
+    together; on integers, <n, x> < s is <n, x> <= s - 1."""
+    _, pts = scaled_ints([*P.vertices, tuple(Fraction(c) for c in x)])
+    x = pts.pop()
+    return not any(outside((n, s - strict, None), x) for n, s, _ in half_planes(pts))
 
 
 def dual(P: RationalPolytope) -> RationalPolytope:
-    """{y : <x, y> >= -1 for all x in P}; an involution on polytopes with 0 interior."""
-    origin = (Fraction(0),) * P.rank
-    if not contains(P, origin, strict=True):
+    """{y : <x, y> >= -1 for all x in P}; an involution on polytopes with 0 interior.
+    Each half-plane <n, X> <= s of P scaled by D gives the vertex -D n / s."""
+    D, pts = scaled_ints(P.vertices)
+    fs = half_planes(pts)
+    if any(s <= 0 for _, s, _ in fs):
         raise OriginNotInterior("dual() needs 0 strictly inside")
-    verts = [tuple(Fraction(-n, 1) / f.support for n in f.normal) for f in facets(P)]
-    if P.rank == 1:
-        return convex_hull(verts, 1)
-    return RationalPolytope(2, vertices_ccw_store(verts))
+    verts = [tuple(Fraction(-D * c, s) for c in n) for n, s, _ in fs]
+    return RationalPolytope(P.rank, vertices_ccw_store(verts))
 
 
 def lattice_points(P: RationalPolytope) -> list[tuple[int, ...]]:
@@ -464,7 +472,10 @@ def rat_str(x: Fraction) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s.strip()!r}") from None
 
 
 def vec_str(v) -> str:

@@ -35,6 +35,10 @@ class ParamsOutOfDomain(ValueError):
     pass
 
 
+class InvalidConfig(ValueError):
+    """Search bounds or a scope outside the admitted range."""
+
+
 class UnsupportedSymmetry(AssertionError):
     """Data whose automorphisms no `SymmetryGroup` kind describes."""
 
@@ -1001,9 +1005,11 @@ FAMILY_ROWS += [
 
 
 def families(dim_filter=None, rank_filter=None) -> list[FamilySpec]:
-    """Registry rows whose dimension and rank match the filters."""
-    dims = set(dim_filter) if dim_filter is not None else set(DIMS)
-    ranks = set(rank_filter) if rank_filter is not None else set(RANKS)
+    """Registry rows whose dimension and rank match filters within DIMS and RANKS."""
+    dims = sorted(set(dim_filter)) if dim_filter is not None else list(DIMS)
+    ranks = sorted(set(rank_filter)) if rank_filter is not None else list(RANKS)
+    if not set(dims).issubset(DIMS) or not set(ranks).issubset(RANKS):
+        raise InvalidConfig(f"dims must lie in 1..4 and ranks in 0..2, got {dims} and {ranks}")
     return [f for f in FAMILY_ROWS if f.dim in dims and f.rank in ranks]
 
 

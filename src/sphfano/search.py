@@ -41,19 +41,18 @@ from .core import (
 )
 from .geometry import (
     RationalPolytope,
+    edge,
+    outside,
     transform_polytope,
     unimodular_inverse,
     vertices_ccw_store,
 )
-from .registry import FULL_UNIMODULAR, SHEAR, TRIVIAL, SymmetryGroup, build, symmetry_group
+from .registry import FULL_UNIMODULAR, SHEAR, TRIVIAL, InvalidConfig, SymmetryGroup, build
+from .registry import symmetry_group
 
 
 class BoundTooTight(RuntimeError):
     """An accepted polytope touched the search box; results may be incomplete."""
-
-
-class InvalidConfig(ValueError):
-    """Search bounds outside the admitted range."""
 
 
 class CanonicalFormError(RuntimeError):
@@ -233,7 +232,7 @@ class _SuccessorGraph:
     left of i -> j (cross(v_i, v_j) > 0, C1) and the edge passes
     `edge_violation` (C2 and C4), evaluated once per ordered pair on the
     scaled integers.  `left(i, j)` is the bitmask of the candidates strictly
-    left of the line i -> j.
+    left of the line i -> j, that is, strictly outside the edge j -> i.
     """
 
     def __init__(self, data: CombinatorialData, cands):
@@ -250,12 +249,10 @@ class _SuccessorGraph:
     def left(self, i, j):
         mask = self._left.get((i, j))
         if mask is None:
-            (xi, yi), (xj, yj) = self.pts[i], self.pts[j]
-            dx, dy = xj - xi, yj - yi
-            c = dx * yi - dy * xi
+            e = edge(self.pts[j], self.pts[i])
             mask = 0
-            for k, (x, y) in enumerate(self.pts):
-                if dx * y - dy * x > c:
+            for k, x in enumerate(self.pts):
+                if outside(e, x):
                     mask |= 1 << k
             self._left[(i, j)] = mask
         return mask

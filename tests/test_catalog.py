@@ -277,6 +277,34 @@ def test_cli_catalog_scope_out_of_range(argv, monkeypatch, capsys):
     assert "dims must lie in 1..4 and ranks in 0..2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--dim", "5"], ["--rank", "7", "--json"], ["--dim", "0"]])
+def test_cli_families_scope_out_of_range(argv, capsys):
+    # the bounds of `catalog`, checked in `registry.families`: a usage error
+    # that prints no rows
+    assert main(["families", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "dims must lie in 1..4 and ranks in 0..2" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "SL2.T", "--vertices", "(-1);(1/0)"], "zero denominator"),
+        (
+            ["--family", "toric", "--params", "n=2", "--vertices", "(1,0);(0,1);(-1,-1);(1)"],
+            "do not all have rank 2",
+        ),
+        (["--family", "SL2.T", "--vertices", "(-1,0);(1,0)"], "do not all have rank 1"),
+    ],
+)
+def test_cli_check_malformed_vertices(argv, message, capsys):
+    # malformed input is a usage error (2), never a traceback or the exit
+    # code of a verification mismatch (1)
+    assert main(["check", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_repeated_param(capsys):
     assert main(["enumerate", "--family", "toric", "--params", "n=2,n=1"]) == 2
     assert "parameter 'n' given twice" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """The combinatorial-data model and the four-condition polytope checker."""
 
+import importlib.util
 import itertools
 import json
 import random
@@ -333,6 +334,17 @@ def test_checker_reproduces_recorded_verdicts():
         vertices = tuple(tuple(F(c) for c in v) for v in e["vertices"])
         v = check_reflexive(build(e["family"], e["params"]), RationalPolytope(len(vertices[0]), vertices))
         assert (v.ok, [list(x) for x in v.violations]) == (e["ok"], e["violations"]), e
+
+
+def test_check_verdicts_are_fresh():
+    # the recorder's draws (hulls and group-moved copies) still reproduce the
+    # shipped file byte for byte; nothing is written
+    path = Path(__file__).parents[1] / "tools" / "record_check_verdicts.py"
+    spec = importlib.util.spec_from_file_location("record_check_verdicts", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    recorded = (Path(__file__).parent / "data" / "check_verdicts.json").read_text()
+    assert tool.check_verdicts_text() == recorded
 
 
 def _kernel_results(data, ints, colors, S, k):

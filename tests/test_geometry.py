@@ -98,6 +98,15 @@ def halfplane_vertices_oracle(halfplanes):
     return verts
 
 
+def rational_points(rng, k):
+    """k points whose coordinates have mixed denominators."""
+    dens = (1, 2, 3, 5, 7)
+    return [
+        (F(rng.randint(-9, 9), rng.choice(dens)), F(rng.randint(-9, 9), rng.choice(dens)))
+        for _ in range(k)
+    ]
+
+
 # -- convex_hull -------------------------------------------------------------
 
 
@@ -122,14 +131,21 @@ def test_hull_storage_order():
 
 
 def test_hull_random_against_extremality_oracle():
+    # lattice points, then points with mixed denominators; every point lies
+    # in the hull and no vertex lies in its interior
     rng = random.Random(7)
-    for _ in range(40):
-        pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(50)]
+    for k in range(80):
+        if k < 40:
+            pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(50)]
+        else:
+            pts = rational_points(rng, 10)
         try:
             P = convex_hull(pts, 2)
         except DegenerateInput:
             continue
         assert set(P.vertices) == {vec(*p) for p in hull_oracle(pts)}
+        assert all(contains(P, p) for p in pts)
+        assert not any(contains(P, v, strict=True) for v in P.vertices)
 
 
 def test_hull_degenerate():
@@ -165,16 +181,29 @@ def test_facets_segment():
     assert got == {((-1,), 1), ((1,), F(1, 2))}
 
 
-def test_facets_hexagon_against_halfplane_oracle():
-    fs = facets(HEXAGON)
-    assert len(fs) == 6 and all(f.support == 1 for f in fs)
+def check_facets_against_halfplane_oracle(P):
+    fs = facets(P)
     hp = [(f.normal, f.support) for f in fs]
-    assert halfplane_vertices_oracle(hp) == set(HEXAGON.vertices)
+    assert halfplane_vertices_oracle(hp) == set(P.vertices)
     for f in fs:
         for i in f.incident_vertices:
-            v = HEXAGON.vertices[i]
+            v = P.vertices[i]
             assert f.normal[0] * v[0] + f.normal[1] * v[1] == f.support
         assert math.gcd(*map(abs, f.normal)) == 1
+    return fs
+
+
+def test_facets_hexagon_against_halfplane_oracle():
+    fs = check_facets_against_halfplane_oracle(HEXAGON)
+    assert len(fs) == 6 and all(f.support == 1 for f in fs)
+    # polygons whose vertices have mixed denominators
+    rng = random.Random(11)
+    for _ in range(40):
+        try:
+            P = convex_hull(rational_points(rng, 6), 2)
+        except DegenerateInput:
+            continue
+        check_facets_against_halfplane_oracle(P)
 
 
 # -- dual --------------------------------------------------------------------
@@ -205,15 +234,21 @@ def test_dual_requires_interior_origin():
         dual(P)
 
 
-def random_lattice_polygon_containing_origin(rng, span=4):
+def polygon_containing_origin(draw):
+    """The hull of the first draw() whose hull has 0 strictly inside."""
     while True:
-        pts = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(8)]
         try:
-            P = convex_hull(pts, 2)
+            P = convex_hull(draw(), 2)
         except DegenerateInput:
             continue
         if contains(P, (0, 0), strict=True):
             return P
+
+
+def random_lattice_polygon_containing_origin(rng, span=4):
+    return polygon_containing_origin(
+        lambda: [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(8)]
+    )
 
 
 def test_dual_involution_on_1000_random_polygons():
@@ -221,6 +256,14 @@ def test_dual_involution_on_1000_random_polygons():
     for _ in range(1000):
         P = random_lattice_polygon_containing_origin(rng)
         assert dual(dual(P)) == P
+    # polygons whose vertices have mixed denominators, against the halfplane
+    # oracle: dual = {y : <x,y> >= -1 for all vertices x}
+    for _ in range(200):
+        P = polygon_containing_origin(lambda: rational_points(rng, 8))
+        D = dual(P)
+        hp = [((-v[0], -v[1]), 1) for v in P.vertices]
+        assert halfplane_vertices_oracle(hp) == set(D.vertices)
+        assert dual(D) == P
 
 
 def test_dual_unimodular_equivariance():
@@ -281,6 +324,22 @@ def test_contains():
     assert contains(HEXAGON, (F(1, 2), F(1, 2)), strict=False)
     assert not contains(HEXAGON, (F(1, 2), F(1, 2)), strict=True)
     assert contains(HEXAGON, (F(1, 2), F(1, 4)), strict=True)
+    # points and polytopes with mixed denominators, against the triangle oracle
+    assert contains(seg, (F(1, 3),), strict=True)
+    assert not contains(seg, (F(2, 3),))
+    rng = random.Random(13)
+    for _ in range(30):
+        try:
+            P = convex_hull(rational_points(rng, 6), 2)
+        except DegenerateInput:
+            continue
+        edges = list(zip(P.vertices, P.vertices[1:] + P.vertices[:1]))
+        mids = [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in edges]
+        for x in rational_points(rng, 10) + list(P.vertices) + mids:
+            inside = point_in_hull_oracle(x, P.vertices)
+            boundary = any(on_segment(x, a, b) for a, b in edges)
+            assert contains(P, x) == inside
+            assert contains(P, x, strict=True) == (inside and not boundary)
 
 
 # -- lattice_points ----------------------------------------------------------

@@ -7,8 +7,9 @@ family's group, near misses (one published vertex shifted by a unit step,
 then hulled), and hulls of small random points with and without a color
 point.  Each is stored with the `check_reflexive` verdict and its full
 violation list.  `tests/test_core.py` asserts that the checker reproduces
-the file exactly, so the file pins the checker's behaviour and its
-violation texts; regenerate it only when that behaviour is meant to change.
+the file exactly and that `check_verdicts_text()` still regenerates it, so
+the file pins the checker's behaviour, its violation texts and the draws;
+regenerate it only when that behaviour is meant to change.
 
 Run from the repository root:  python3 tools/record_check_verdicts.py
 """
@@ -111,9 +112,13 @@ def record() -> list[dict]:
     return out
 
 
-def main():
+def check_verdicts_text() -> str:
     # one polytope per line keeps the file short and its diffs readable
-    OUT.write_text("[\n" + ",\n".join(json.dumps(e) for e in record()) + "\n]\n")
+    return "[\n" + ",\n".join(json.dumps(e) for e in record()) + "\n]\n"
+
+
+def main():
+    OUT.write_text(check_verdicts_text())
 
 
 if __name__ == "__main__":
