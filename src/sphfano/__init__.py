@@ -10,7 +10,6 @@ from .geometry import (
     Rat,
     RationalPolytope,
     Facet,
-    Polynomial,
     convex_hull,
     facets,
     dual,
@@ -27,7 +26,6 @@ from .core import (
     CombinatorialData,
     Verdict,
     valuation_cone_position,
-    color_points,
     check_reflexive,
 )
 from .registry import families, build, rank0_entries, symmetry_group

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
-assertion (search box too tight, a canonical-form assumption broken,
-non-integral degree, rank-deficient relations, a vanishing anticanonical
-class, data whose symmetries no group kind describes).
+Exit codes: 0 success, 1 verification mismatch, 2 usage error (a file that
+cannot be read or written included), 3 internal assertion (search box too
+tight, a canonical-form assumption broken, non-integral degree,
+rank-deficient relations, a vanishing anticanonical class, data whose
+symmetries no group kind describes).
 """
 
 from __future__ import annotations
@@ -120,14 +121,13 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    catalog = build_catalog(jobs=args.jobs)
     if args.expected:
         expected = load_expected_csv(args.expected)
     else:
         expected = {}
         for name in ("expected_dim2.csv", "expected_dim3.csv"):
             expected.update(load_expected_csv(bundled_expected(name)))
-    problems = verify(catalog, expected)
+    problems = verify(build_catalog(jobs=args.jobs), expected)
     if problems:
         for p in problems:
             print(p)
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (UnknownFamily, ParamsOutOfDomain, ValueError) as exc:
+    except (UnknownFamily, ParamsOutOfDomain, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BoundTooTight, CanonicalFormError, PairTestMismatch, AssertionError) as exc:

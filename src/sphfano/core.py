@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (
-    Polynomial,
+    DHPolynomial,
     RationalPolytope,
+    dh,
     edge,
     half_planes,
     is_lattice_basis,
@@ -50,38 +51,6 @@ class Color:
 
     def point(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.m) for c in self.rho)
-
-
-@dataclass(frozen=True)
-class DHPolynomial:
-    """prefactor * prod (constant + <linear, x>)^multiplicity."""
-
-    prefactor: Fraction
-    factors: tuple[tuple[Fraction, tuple[int, ...], int], ...]
-
-    def expand(self, rank: int) -> Polynomial:
-        p = Polynomial.constant(rank, self.prefactor)
-        for const, lin, mult in self.factors:
-            base = Polynomial.affine(rank, const, lin)
-            for _ in range(mult):
-                p = p * base
-        return p
-
-    def total_degree(self) -> int:
-        return sum(mult for _, _, mult in self.factors)
-
-    def value_at_origin(self) -> Fraction:
-        v = Fraction(self.prefactor)
-        for const, _, mult in self.factors:
-            v *= Fraction(const) ** mult
-        return v
-
-
-def dh(prefactor, *factors) -> DHPolynomial:
-    return DHPolynomial(
-        Fraction(prefactor),
-        tuple((Fraction(c), tuple(lin), mult) for c, lin, mult in factors),
-    )
 
 
 @dataclass(frozen=True)
@@ -164,10 +133,6 @@ def valuation_cone_position(data: CombinatorialData, x) -> str:
         if v == 0:
             on_boundary = True
     return BOUNDARY if on_boundary else INTERIOR
-
-
-def color_points(data: CombinatorialData) -> list[tuple[Fraction, ...]]:
-    return data.color_points()
 
 
 def cone_over_face_meets_interior(data: CombinatorialData, face_vertices) -> bool:

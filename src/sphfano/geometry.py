@@ -217,106 +217,68 @@ def lattice_points(P: RationalPolytope) -> list[tuple[int, ...]]:
     return out
 
 
-class Polynomial:
-    """Sparse polynomial over Q in `rank` variables: exponent tuple -> coefficient."""
+@dataclass(frozen=True)
+class DHPolynomial:
+    """prefactor * prod (constant + <linear, x>)^multiplicity; the registry's
+    linear parts are integers, `integrate` takes rational ones too."""
 
-    __slots__ = ("rank", "coeffs")
+    prefactor: Fraction
+    factors: tuple[tuple[Fraction, tuple[int, ...], int], ...]
 
-    def __init__(self, rank: int, coeffs=None):
-        self.rank = rank
-        self.coeffs: dict[tuple[int, ...], Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[tuple(e)] = c
+    def total_degree(self) -> int:
+        return sum(mult for _, _, mult in self.factors)
 
-    @staticmethod
-    def constant(rank: int, c) -> "Polynomial":
-        return Polynomial(rank, {(0,) * rank: Fraction(c)})
-
-    @staticmethod
-    def affine(rank: int, const, linear) -> "Polynomial":
-        """const + sum(linear[i] * x_i)."""
-        coeffs = {(0,) * rank: Fraction(const)}
-        for i, a in enumerate(linear):
-            e = tuple(1 if j == i else 0 for j in range(rank))
-            coeffs[e] = Fraction(a)
-        return Polynomial(rank, coeffs)
-
-    @staticmethod
-    def monomial(rank: int, exponents, c=1) -> "Polynomial":
-        return Polynomial(rank, {tuple(exponents): Fraction(c)})
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            out: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-            return Polynomial(self.rank, out)
-        return Polynomial(self.rank, {e: c * Fraction(other) for e, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
-    def __repr__(self):
-        return f"Polynomial({self.rank}, {self.coeffs!r})"
+    def value_at_origin(self) -> Fraction:
+        v = Fraction(self.prefactor)
+        for const, _, mult in self.factors:
+            v *= Fraction(const) ** mult
+        return v
 
 
-def _affine_powers(a0: int, a1: int, a2: int, deg: int) -> list[dict[tuple[int, int], int]]:
-    """(a0 + a1 u + a2 v)^k for k = 0..deg, as {(i, j): coefficient of u^i v^j}."""
-    return [
-        {
-            (i, j): math.comb(k, i) * math.comb(k - i, j) * a1**i * a2**j * a0 ** (k - i - j)
-            for i in range(k + 1)
-            for j in range(k + 1 - i)
-        }
-        for k in range(deg + 1)
-    ]
+def dh(prefactor, *factors) -> DHPolynomial:
+    return DHPolynomial(
+        Fraction(prefactor),
+        tuple((Fraction(c), tuple(lin), mult) for c, lin, mult in factors),
+    )
 
 
-def integrate(P: RationalPolytope, f: Polynomial) -> Fraction:
+def integrate(P: RationalPolytope, f: DHPolynomial) -> Fraction:
     """Exact integral of f over P with respect to Lebesgue measure.
 
-    In rank 2, on integer vertices X = D x and f = sum C_e X^e / (L D^deg) with
-    integer C_e, each triangle of a fan from the first vertex is mapped onto the
-    standard simplex, X = X0 + u E1 + v E2, where u^i v^j integrates to
-    i! j! / (i+j+2)!.  The sum runs on ints; one `Fraction` is built at the end.
-    """
-    if P.rank == 1:
-        lo, hi = P.vertices[0][0], P.vertices[1][0]
-        total = Fraction(0)
-        for e, c in f.coeffs.items():
-            k = e[0]
-            total += c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
-        return total
+    On a simplex S = conv(v_0..v_n) each affine form is h = sum_i t_i h(v_i) in
+    barycentric coordinates t, and t^m has mean n! prod m_i! / (n + |m|)! over S;
+    so for affine forms h_1..h_p (Baldoni, Berline, De Loera, Koeppe, Vergne,
+    "How to integrate a polynomial over a simplex", Math. Comp. 80, 2011)
 
+        int_S prod_j h_j = n! vol(S) / (n + p)! * sum_m [t^m](prod_j h_j) prod_i m_i!.
+
+    S is the segment in rank 1 and each triangle of a fan from the first vertex
+    in rank 2.  On vertices X = D x scaled to integers, L D h is an integer form
+    in X for L the lcm of h's own denominators; the sums run on ints and one
+    `Fraction` is built at the end.
+    """
+    n = P.rank
     D, pts = scaled_ints(P.vertices)
-    deg = f.degree()
-    L, (coeffs,) = scaled_ints([f.coeffs.values()])
-    terms = [(p, q, C * D ** (deg - p - q)) for (p, q), C in zip(f.coeffs, coeffs)]
-    top = math.factorial(deg + 2)
-    weights = {
-        (i, j): math.factorial(i) * math.factorial(j) * top // math.factorial(i + j + 2)
-        for i in range(deg + 1)
-        for j in range(deg + 1 - i)
-    }
-    (x0, y0), total = pts[0], 0
-    for (x1, y1), (x2, y2) in zip(pts[1:], pts[2:]):
-        xs = _affine_powers(x0, x1 - x0, x2 - x0, deg)
-        ys = _affine_powers(y0, y1 - y0, y2 - y0, deg)
-        part = sum(
-            C * c1 * c2 * weights[i1 + i2, j1 + j2]
-            for p, q, C in terms
-            for (i1, j1), c1 in xs[p].items()
-            for (i2, j2), c2 in ys[q].items()
-        )
-        total += abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)) * part
-    return Fraction(total, L * D ** (deg + 2) * top)
+    forms, scale = [], f.prefactor.denominator * D**n
+    for const, lin, mult in f.factors:
+        L, ((c, *a),) = scaled_ints([(const, *lin)])
+        forms += [(c * D, a)] * mult
+        scale *= (L * D) ** mult
+    total = 0
+    for S in [pts] if n == 1 else [(pts[0], p, q) for p, q in zip(pts[1:], pts[2:])]:
+        t_poly = {(0,) * (n + 1): 1}  # exponent of t -> integer coefficient
+        for c, a in forms:
+            hs = [c + sum(ak * xk for ak, xk in zip(a, x)) for x in S]
+            out: dict[tuple[int, ...], int] = {}
+            for e, coef in t_poly.items():
+                for i, h in enumerate(hs):
+                    m = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                    out[m] = out.get(m, 0) + coef * h
+            t_poly = out
+        edges = [tuple(xk - yk for xk, yk in zip(x, S[0])) for x in S[1:]]
+        volume = abs(edges[0][0] if n == 1 else det2(*edges))  # n! vol(S) D^n
+        total += volume * sum(coef * math.prod(map(math.factorial, e)) for e, coef in t_poly.items())
+    return Fraction(f.prefactor.numerator * total, scale * math.factorial(n + len(forms)))
 
 
 # ---------------------------------------------------------------------------

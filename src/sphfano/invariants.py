@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial, gcd
 
 from .core import CombinatorialData, NotReflexive, check_reflexive
-from .geometry import DegenerateInput, Polynomial, RationalPolytope, dual, integrate, snf
+from .geometry import DegenerateInput, RationalPolytope, dh, dual, integrate, snf
 
 STABLE = "Stable"
 SEMISTABLE = "SemistableNotStable"
@@ -63,7 +63,6 @@ class _Accepted:
     basis: DivisorBasis
     presentation: PicardPresentation
     dual: RationalPolytope
-    density: Polynomial
 
 
 @lru_cache(maxsize=1)
@@ -94,7 +93,6 @@ def _accepted(data: CombinatorialData, P: RationalPolytope) -> _Accepted:
         DivisorBasis(data.colors, g_stable),
         PicardPresentation(A, (U, S, V), len(A) - r),
         dual(P),
-        data.f.expand(r),
     )
 
 
@@ -132,21 +130,20 @@ def moment_polytope(data, P):
 
 def degree(data, P) -> int:
     """Anticanonical degree: dim! times the integral of the density over the dual."""
-    acc = _accepted(data, P)
-    total = integrate(acc.dual, acc.density) * factorial(data.dim)
+    total = integrate(_accepted(data, P).dual, data.f) * factorial(data.dim)
     if total.denominator != 1 or total <= 0:
         raise NonIntegerDegree(f"degree {total} is not a positive integer")
     return int(total)
 
 
 def dh_barycenter(data, P) -> tuple:
-    """Componentwise integral of x_i * f over the dual polytope (not normalized)."""
-    acc, r = _accepted(data, P), data.rank
-    out = []
-    for i in range(r):
-        x_i = Polynomial.monomial(r, tuple(1 if j == i else 0 for j in range(r)))
-        out.append(integrate(acc.dual, acc.density * x_i))
-    return tuple(out)
+    """Componentwise integral of x_i * f over the dual polytope (not normalized):
+    f with the extra factor 0 + <e_i, x>."""
+    Q, f, r = _accepted(data, P).dual, data.f, data.rank
+    return tuple(
+        integrate(Q, dh(f.prefactor, *f.factors, (0, tuple(int(j == i) for j in range(r)), 1)))
+        for i in range(r)
+    )
 
 
 def k_verdict(data, P) -> KVerdict:

@@ -227,6 +227,19 @@ def test_cli_verify_mismatch_exit_code(tmp_path):
     assert "2-1-1" in r.stdout
 
 
+def test_cli_verify_missing_expected_file(tmp_path):
+    # a usage error, reported before the catalog is built
+    r = run_cli("verify", "--expected", str(tmp_path / "missing.csv"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
+def test_cli_catalog_unwritable_out(tmp_path):
+    r = run_cli("catalog", "--dim", "2", "--out", str(tmp_path / "missing" / "x.csv"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
 def test_cli_box_env_too_small():
     # SPHFANO_BOX=3 truncates a published polytope: internal assertion, code 3
     r = run_cli(

@@ -21,7 +21,6 @@ from sphfano.core import (
     CombinatorialData,
     RankMismatch,
     check_reflexive,
-    color_points,
     cone_over_face_meets_interior,
     dh,
     edge_violation,
@@ -67,9 +66,9 @@ def test_valuation_positions():
 
 
 def test_color_points():
-    assert color_points(build("SL2sq.diagSL2", {})) == [(F(1, 2),)]
-    assert color_points(build("Sp4.Nsym", {})) == [(F(2, 3),)]
-    assert color_points(build("toric", {"n": 2})) == []
+    assert build("SL2sq.diagSL2", {}).color_points() == [(F(1, 2),)]
+    assert build("Sp4.Nsym", {}).color_points() == [(F(2, 3),)]
+    assert build("toric", {"n": 2}).color_points() == []
 
 
 def test_cone_over_face():

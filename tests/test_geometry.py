@@ -10,11 +10,11 @@ import pytest
 from sphfano.geometry import (
     DegenerateInput,
     OriginNotInterior,
-    Polynomial,
     RationalPolytope,
     ZeroVector,
     contains,
     convex_hull,
+    dh,
     dual,
     facets,
     integrate,
@@ -367,26 +367,77 @@ def test_lattice_points_triangle_against_scan_oracle():
 
 def test_integrate_constant_segment():
     P = convex_hull([(-1,), (1,)], 1)
-    assert integrate(P, Polynomial.constant(1, 1)) == 2
+    assert integrate(P, dh(1)) == 2
 
 
 def test_integrate_segment_against_antiderivative():
     P = convex_hull([(-2,), (1,)], 1)
-    f = Polynomial.affine(1, 2, (1,)) * Polynomial.affine(1, 2, (1,))  # (2+x)^2
+    f = dh(1, (2, (1,), 2))  # (2+x)^2
     # antiderivative (2+x)^3/3 on [-2, 1]
     assert integrate(P, f) == F(27, 3)
 
 
+def sympy_rational(c):
+    from sympy import Rational
+
+    c = F(c)
+    return Rational(c.numerator, c.denominator)
+
+
+def test_integrate_segment_against_sympy():
+    # rational endpoints, rational constants and coefficients, up to degree 6
+    from sympy import integrate as sympy_integrate
+    from sympy.abc import x
+
+    q = sympy_rational
+    rng = random.Random(29)
+    for _ in range(40):
+        lo = F(rng.randint(-9, 9), rng.randint(1, 5))
+        hi = lo + F(rng.randint(1, 9), rng.randint(1, 5))
+        factors = [
+            (
+                F(rng.randint(-5, 5), rng.randint(1, 3)),
+                (F(rng.randint(-3, 3), rng.randint(1, 3)),),
+                rng.randint(1, 2),
+            )
+            for _ in range(rng.randint(0, 3))
+        ]
+        f = dh(F(rng.randint(1, 9), rng.randint(1, 4)), *factors)
+        expr = q(f.prefactor)
+        for c, (a,), mult in f.factors:
+            expr *= (q(c) + q(a) * x) ** mult
+        want = sympy_integrate(expr, (x, q(lo), q(hi)))
+        assert integrate(convex_hull([(lo,), (hi,)], 1), f) == F(str(want))
+
+
+def test_integrate_multiplicity_is_repetition():
+    segment = convex_hull([(F(-3, 2),), (F(7, 3),)], 1)
+    h, g = (F(1, 2), (F(-2, 3),)), (1, (1,))
+    assert integrate(segment, dh(F(2, 3), (*h, 2), (*g, 1))) == integrate(
+        segment, dh(F(2, 3), (*h, 1), (*g, 1), (*h, 1))
+    )
+    rng = random.Random(31)
+    for _ in range(10):
+        P = dual(random_lattice_polygon_containing_origin(rng))
+        h, g = (
+            (F(rng.randint(1, 9), rng.randint(1, 4)), (rng.randint(-2, 2), rng.randint(-2, 2)))
+            for _ in range(2)
+        )
+        assert integrate(P, dh(F(1, 2), (*h, 2), (*g, 1))) == integrate(
+            P, dh(F(1, 2), (*h, 1), (*g, 1), (*h, 1))
+        )
+
+
 def test_integrate_square_separability():
     sq = convex_hull([(1, 1), (1, -1), (-1, 1), (-1, -1)], 2)
-    f = Polynomial.affine(2, 2, (2, 0))  # 2 + 2x
+    f = dh(1, (2, (2, 0), 1))  # 2 + 2x
     # separability: 2*area + 2*int x = 8 + 0
     assert integrate(sq, f) == 8
 
 
 def test_integrate_triangulation_invariance():
     rng = random.Random(11)
-    f = Polynomial.affine(2, 1, (2, -1)) * Polynomial.affine(2, 3, (1, 1))
+    f = dh(1, (1, (2, -1), 1), (3, (1, 1), 1))
     for _ in range(30):
         P = random_lattice_polygon_containing_origin(rng)
         base = integrate(P, f)
@@ -399,7 +450,7 @@ def test_integrate_triangulation_invariance():
 def test_integrate_unimodular_equivariance():
     rng = random.Random(13)
     M = ((2, 1), (1, 1))
-    f = Polynomial.affine(2, 2, (1, 1)) * Polynomial.affine(2, 1, (0, 1))
+    f = dh(1, (2, (1, 1), 1), (1, (0, 1), 1))
     for _ in range(20):
         P = random_lattice_polygon_containing_origin(rng)
         # int over M(P) of f == int over P of f o M
@@ -408,19 +459,20 @@ def test_integrate_unimodular_equivariance():
 
 def sympy_integral(P, f, M=((1, 0), (0, 1))):
     """The integral of f o M over the polygon P by sympy's polytope_integrate."""
-    from sympy import Rational, expand
+    from sympy import expand
     from sympy.abc import x, y
     from sympy.geometry import Polygon
     from sympy.integrals.intpoly import polytope_integrate
 
+    q = sympy_rational
     X, Y = M[0][0] * x + M[0][1] * y, M[1][0] * x + M[1][1] * y
-    # polytope_integrate reads its integrand monomial by monomial, so expand it
-    expr = expand(
-        sum(Rational(c.numerator, c.denominator) * X**i * Y**j for (i, j), c in f.coeffs.items())
-    )
-    # polytope_integrate takes the clockwise orientation as positive
+    expr = q(f.prefactor)
+    for c, (a, b), mult in f.factors:
+        expr *= (q(c) + q(a) * X + q(b) * Y) ** mult
+    # polytope_integrate reads its integrand monomial by monomial, so expand
+    # it, and takes the clockwise orientation as positive
     clockwise = Polygon(*reversed(P.vertices))
-    return F(str(polytope_integrate(clockwise, expr)))
+    return F(str(polytope_integrate(clockwise, expand(expr))))
 
 
 def test_integrate_against_sympy_polytope_integrate():
@@ -428,26 +480,29 @@ def test_integrate_against_sympy_polytope_integrate():
     for _ in range(12):
         P = random_lattice_polygon_containing_origin(rng)
         r = rng.randint
-        f = Polynomial.affine(2, r(-3, 3), (r(-3, 3), F(1, r(1, 3))))
-        f = f * Polynomial.affine(2, F(r(-5, 5), 2), (r(-2, 2), r(-2, 2)))
+        f = dh(
+            1,
+            (r(-3, 3), (r(-3, 3), F(1, r(1, 3))), 1),
+            (F(r(-5, 5), 2), (r(-2, 2), r(-2, 2)), 1),
+        )
         assert integrate(P, f) == sympy_integral(P, f)
 
 
 def test_integrate_densities_on_dual_polygons_against_sympy():
     # the shape the invariants integrate: rational vertices (duals of lattice
     # polygons) and a density of 3 or 4 affine factors with rational
-    # constants, alone and times x_i as dh_barycenter builds it (sympy takes
-    # about half a second per integral, so few cases)
+    # constants, alone and with the extra factor x_i as dh_barycenter adds it
+    # (sympy takes about half a second per integral, so few cases)
     rng = random.Random(23)
     denominators = set()
     for k, i in ((3, 0), (4, 1), (3, 1), (4, 0)):
         P = dual(random_lattice_polygon_containing_origin(rng))
         denominators |= {c.denominator for v in P.vertices for c in v}
-        f = Polynomial.constant(2, F(1, rng.randint(1, 6)))
+        prefactor, factors = F(1, rng.randint(1, 6)), []
         for _ in range(k):
             const = F(rng.randint(1, 9), rng.randint(1, 4))
-            f = f * Polynomial.affine(2, const, (rng.randint(-2, 2), rng.randint(-2, 2)))
-        for g in (f, f * Polynomial.monomial(2, (1 - i, i))):
+            factors.append((const, (rng.randint(-2, 2), rng.randint(-2, 2)), 1))
+        for g in (dh(prefactor, *factors), dh(prefactor, *factors, (0, (1 - i, i), 1))):
             assert integrate(P, g) == sympy_integral(P, g)
     assert max(denominators) > 1
 
