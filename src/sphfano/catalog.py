@@ -340,8 +340,8 @@ def catalog_from_json(data: list) -> Catalog:
     return _catalog(records)
 
 
-def emit(catalog: Catalog, fmt: str, path=None) -> str:
-    """Write the catalog as csv or json; returns the emitted text."""
+def emit(catalog: Catalog, fmt: str) -> str:
+    """The catalog as csv or json text."""
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
@@ -353,9 +353,6 @@ def emit(catalog: Catalog, fmt: str, path=None) -> str:
         text = json.dumps(catalog_to_json(catalog), indent=1) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
     return text
 
 

@@ -10,6 +10,7 @@ symmetries no group kind describes).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -46,6 +47,12 @@ def _parse_params(text: str) -> dict:
     return params
 
 
+def _output(path):
+    """The file at path, opened before any work so that a bad path fails at
+    once, or standard output."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _cmd_families(args) -> int:
     dims = [args.dim] if args.dim is not None else None
     ranks = [args.rank] if args.rank is not None else None
@@ -63,21 +70,17 @@ def _cmd_families(args) -> int:
 def _cmd_enumerate(args) -> int:
     params = _parse_params(args.params or "")
     cfg = default_config()
-    cps = enumerate_polytopes(args.family, params, cfg=cfg)
-    doc = {
-        "family": args.family,
-        "params": params,
-        "polytopes": [
-            {"vertices": [[rat_str(c) for c in v] for v in cp.polytope.vertices]}
-            for cp in cps
-        ],
-    }
-    text = json.dumps(doc, indent=1)
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _output(args.json_path) as fh:
+        cps = enumerate_polytopes(args.family, params, cfg=cfg)
+        doc = {
+            "family": args.family,
+            "params": params,
+            "polytopes": [
+                {"vertices": [[rat_str(c) for c in v] for v in cp.polytope.vertices]}
+                for cp in cps
+            ],
+        }
+        fh.write(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
@@ -111,12 +114,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_catalog(args) -> int:
     cfg = default_config()
-    catalog = build_catalog(
-        dims=args.dim or None, ranks=args.rank if args.rank else None, cfg=cfg, jobs=args.jobs
-    )
-    text = emit(catalog, args.format, args.out)
-    if not args.out:
-        sys.stdout.write(text)
+    with _output(args.out) as fh:
+        catalog = build_catalog(
+            dims=args.dim or None, ranks=args.rank if args.rank else None, cfg=cfg, jobs=args.jobs
+        )
+        fh.write(emit(catalog, args.format))
     return 0
 
 

@@ -146,41 +146,31 @@ def dh_barycenter(data, P) -> tuple:
     )
 
 
+def _det(A) -> int:
+    """Determinant of a square matrix of size at most 2."""
+    return 1 if not A else A[0][0] if len(A) == 1 else A[0][0] * A[1][1] - A[0][1] * A[1][0]
+
+
 def k_verdict(data, P) -> KVerdict:
-    """Position of the barycenter in the cone spanned by the spherical roots."""
-    b = dh_barycenter(data, P)
-    sigma = data.sigma
-    zero = all(x == 0 for x in b)
-    if not sigma:
-        return KVerdict(STABLE if zero else UNSTABLE, b)
-    if len(sigma) == 1:
-        s = sigma[0]
-        if zero:
-            return KVerdict(SEMISTABLE, b)
-        colinear = (
-            b[0] * s[1] == b[1] * s[0] if data.rank == 2 else True
-        )
-        if colinear:
-            t = None
-            for bi, si in zip(b, s):
-                if si:
-                    t = Fraction(bi, si)
-                    break
-            if t is not None and t > 0:
-                return KVerdict(STABLE, b)
-        return KVerdict(UNSTABLE, b)
-    # two independent roots: solve b = t1 s1 + t2 s2 exactly
-    s1, s2 = sigma
-    det = s1[0] * s2[1] - s1[1] * s2[0]
+    """Position of the barycenter b in the cone spanned by the spherical roots:
+    b = sum t_i sigma_i, with t solved from the Gram system by Cramer's rule."""
+    b, sigma = dh_barycenter(data, P), data.sigma
+    G = [[sum(x * y for x, y in zip(s, u)) for u in sigma] for s in sigma]
+    c = [sum(x * y for x, y in zip(s, b)) for s in sigma]
+    det = _det(G)
     if det == 0:
         raise DegenerateInput(f"spherical roots {sigma} are not independent")
-    t1 = Fraction(b[0] * s2[1] - b[1] * s2[0], det)
-    t2 = Fraction(s1[0] * b[1] - s1[1] * b[0], det)
-    if t1 > 0 and t2 > 0:
-        return KVerdict(STABLE, b)
-    if t1 >= 0 and t2 >= 0:
-        return KVerdict(SEMISTABLE, b)
-    return KVerdict(UNSTABLE, b)
+    # Cramer's rule, with row i of the symmetric G standing in for column i
+    t = [Fraction(_det([c if j == i else row for j, row in enumerate(G)]), det) for i in range(len(G))]
+    if any(sum(ti * s[k] for ti, s in zip(t, sigma)) != b[k] for k in range(len(b))):
+        value = UNSTABLE  # b outside the span of the roots
+    elif all(ti > 0 for ti in t):
+        value = STABLE
+    elif all(ti >= 0 for ti in t):
+        value = SEMISTABLE
+    else:
+        value = UNSTABLE
+    return KVerdict(value, b)
 
 
 def all_invariants(data, P) -> dict:

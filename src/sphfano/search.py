@@ -14,11 +14,12 @@ reflexivity check, and one that fails raises `PairTestMismatch`.
 Where the family's group is infinite, the walk visits only normalised
 copies.  For the full unimodular group it is rooted at the edge
 (1,0) -> (0,1), which every canonical representative has; for the shears it
-drops each closed cycle whose leftmost top vertex is outside [0, h), h the
-height, the normalisation of the canonical form.  Every other walk, the
-shears' included, roots each cycle at its lexicographic minimum.  Accepted polytopes are reduced modulo
-the family's admissible symmetry group to canonical representatives, and the
-result is certified afterwards: no canonical representative may touch the box.
+drops each closed cycle that `_shear`, the normalisation of the canonical
+form, would move.  Every other walk, the shears' included, roots each cycle
+at its lexicographic minimum.  Accepted polytopes are reduced to canonical
+representatives, the least of finitely many images under the family's group
+(`_normalisers`), and the result is certified afterwards: no canonical
+representative may touch the box.
 """
 
 from __future__ import annotations
@@ -94,21 +95,52 @@ def _store_key(P: RationalPolytope):
     return (len(P.vertices), P.vertices)
 
 
-def _full_unimodular_candidates(P: RationalPolytope):
-    """All reduced positions of an integral polygon whose facets carry lattice
-    bases: map each ordered edge pair to the standard basis, mirrors included."""
-    if any(c.denominator != 1 for v in P.vertices for c in v):
-        raise CanonicalFormError("full unimodular families have integral polytopes")
-    k = len(P.vertices)
-    mirrored = transform_polytope(((1, 0), (0, -1)), P)
-    for Q in (P, mirrored):
-        ws = Q.vertices
-        for i in range(k):
-            a, b = ws[i], ws[(i + 1) % k]
-            M = ((int(a[0]), int(b[0])), (int(a[1]), int(b[1])))
-            d = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-            if d in (1, -1):
-                yield transform_polytope(unimodular_inverse(M), Q)
+def _shear(verts) -> int:
+    """The k for which the shear (x, y) -> (x + k y, y) puts the leftmost top
+    vertex into [0, h), h the height (shears fix the x-axis, so no image is
+    lexicographically least); scaling the points leaves k unchanged."""
+    h = max(y for _, y in verts)
+    return -(min(x for x, y in verts if y == h) // h)
+
+
+def _normalisers(P: RationalPolytope, group: SymmetryGroup):
+    """Finitely many group elements, among them every element that puts P in
+    normal position; the canonical form is the least of their images.
+
+    Trivial and finite groups give all their elements.  A shear family gives,
+    per allowed sign s, the shear after diag(1, s) that normalises the top
+    vertex (`_shear`).  The full unimodular group gives, per edge of P or of
+    its mirror that is a lattice basis, the element sending it to e1 -> e2:
+    Obro's edge normalisation (arXiv:0704.0049).
+    """
+    if group.kind == TRIVIAL:
+        return [tuple(tuple(int(i == j) for j in range(P.rank)) for i in range(P.rank))]
+    if group.kind == SHEAR:
+        if tuple(group.fixed_vector) != (1, 0):
+            raise CanonicalFormError("shear families fix (1,0)")
+        out = []
+        for s in (1, -1) if group.reflection else (1,):
+            Q = [(x, s * y) for x, y in P.vertices]
+            h = max(y for _, y in Q)
+            if h.denominator != 1 or h <= 0:
+                raise CanonicalFormError(f"shear family polytope of height {h}")
+            out.append(((1, _shear(Q) * s), (0, s)))
+        return out
+    if group.kind == FULL_UNIMODULAR:
+        if any(c.denominator != 1 for v in P.vertices for c in v):
+            raise CanonicalFormError("full unimodular families have integral polytopes")
+        out = []
+        for s in (1, -1):
+            # the counterclockwise cycle of diag(1, s) P
+            ws = [(int(x), s * int(y)) for x, y in P.vertices[::s]]
+            for a, b in zip(ws, ws[1:] + ws[:1]):
+                if a[0] * b[1] - a[1] * b[0] in (1, -1):
+                    (p, q), (r, t) = unimodular_inverse(((a[0], b[0]), (a[1], b[1])))
+                    out.append(((p, q * s), (r, t * s)))
+        if not out:
+            raise CanonicalFormError("no edge of the polytope is a lattice basis")
+        return out
+    return group.matrices
 
 
 def canonical_form(
@@ -118,59 +150,14 @@ def canonical_form(
     group: SymmetryGroup,
     check: bool = True,
 ) -> CanonicalPolytope:
-    """The distinguished representative of P's orbit under the family group."""
+    """The distinguished representative of P's orbit under the family group:
+    the least image under `_normalisers`.  As the elements sending P to it
+    form a coset of P's stabiliser, their count is the stabiliser's order."""
     if check and not check_reflexive(data, P).ok:
         raise NotReflexive("canonical_form expects an accepted polytope")
-
-    if group.kind == TRIVIAL:
-        return CanonicalPolytope(P, 1)
-    if group.kind == FULL_UNIMODULAR:
-        cands = list(_full_unimodular_candidates(P))
-        if not cands:
-            raise CanonicalFormError("no edge of the polytope is a lattice basis")
-        best = min(cands, key=_store_key)
-        stab = sum(1 for Q in cands if Q == P)
-        return CanonicalPolytope(best, max(1, stab))
-    if group.kind == SHEAR:
-        if tuple(group.fixed_vector) != (1, 0):
-            raise CanonicalFormError("shear families fix (1,0)")
-        # The x-axis is fixed pointwise, so plain lexicographic minimization
-        # diverges under k -> -inf.  Instead reduce each sign candidate by the
-        # unique shear putting the leftmost top vertex into [0, h) where h is
-        # the (integral) height; off-axis vertices are integral for every
-        # shear family, so this is exact.
-        signs = (1, -1) if group.reflection else (1,)
-        cands = []
-        stab = 0
-        hp = max(v[1] for v in P.vertices)
-        xp = min(v[0] for v in P.vertices if v[1] == hp)
-        for s in signs:
-            Q = transform_polytope(((1, 0), (0, s)), P)
-            h = max(v[1] for v in Q.vertices)
-            if h.denominator != 1 or h <= 0:
-                raise CanonicalFormError(f"shear family polytope of height {h}")
-            xt = min(v[0] for v in Q.vertices if v[1] == h)
-            k = -(int(xt) // int(h))
-            cands.append(transform_polytope(((1, k), (0, 1)), Q))
-            # the only shear that could fix P at this sign realigns the top
-            if h == hp:
-                diff = xp - xt
-                if diff.denominator == 1 and int(diff) % int(h) == 0:
-                    k0 = int(diff) // int(h)
-                    if transform_polytope(((1, k0), (0, s)), P) == P:
-                        stab += 1
-        best = min(cands, key=_store_key)
-        return CanonicalPolytope(best, max(1, stab))
-    # finite list
-    best = P
-    stab = 0
-    for M in group.matrices:
-        Q = transform_polytope(M, P)
-        if Q == P:
-            stab += 1
-        if _store_key(Q) < _store_key(best):
-            best = Q
-    return CanonicalPolytope(best, max(1, stab))
+    images = [transform_polytope(g, P) for g in _normalisers(P, group)]
+    best = min(images, key=_store_key)
+    return CanonicalPolytope(best, images.count(best))
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +278,6 @@ def _closable_cycles(g: _SuccessorGraph, seq, allowed, inner, max_vertices):
         seq.pop()
 
 
-def _shear_normalised(pts):
-    """Whether the leftmost top vertex lies in [0, h), h the height, as in the
-    canonical form of the shear families; scaling the points changes nothing."""
-    h = max(y for _, y in pts)
-    return 0 <= min(x for x, y in pts if y == h) < h
-
-
 def enumerate_rank2(
     data: CombinatorialData,
     cfg: EnumConfig | None = None,
@@ -311,7 +291,7 @@ def enumerate_rank2(
     cands = _candidate_points(data, cfg)
     if group.kind == FULL_UNIMODULAR:
         # every canonical representative has the counterclockwise edge
-        # e1 -> e2 (`_full_unimodular_candidates`), so walk only polygons
+        # e1 -> e2 (`_normalisers`), so walk only polygons
         # with that facet: their vertices satisfy x + y <= 1
         cands = [q for q in cands if q[0] + q[1] <= 1]
     g = _SuccessorGraph(data, cands)
@@ -327,7 +307,7 @@ def enumerate_rank2(
     accepted = []
     for seq, allowed, inner in roots:
         for cycle in _closable_cycles(g, seq, allowed, inner, cfg.max_vertices):
-            if group.kind == SHEAR and not _shear_normalised([g.pts[i] for i in cycle]):
+            if group.kind == SHEAR and _shear([g.pts[i] for i in cycle]):
                 continue
             P = RationalPolytope(2, vertices_ccw_store([cands[i] for i in cycle]))
             verdict = check_reflexive(data, P)

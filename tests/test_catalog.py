@@ -240,6 +240,21 @@ def test_cli_catalog_unwritable_out(tmp_path):
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,work",
+    [
+        (["catalog", "--dim", "2", "--out"], "build_catalog"),
+        (["enumerate", "--family", "toric", "--params", "n=2", "--json"], "enumerate_polytopes"),
+    ],
+)
+def test_cli_output_path_opened_before_the_work(tmp_path, monkeypatch, capsys, argv, work):
+    # an output path in a missing directory is a usage error reported before
+    # any search; the stub fails if the work starts
+    monkeypatch.setattr(f"sphfano.cli.{work}", lambda *a, **k: pytest.fail(f"{work} was called"))
+    assert main([*argv, str(tmp_path / "missing" / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_box_env_too_small():
     # SPHFANO_BOX=3 truncates a published polytope: internal assertion, code 3
     r = run_cli(

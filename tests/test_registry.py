@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
@@ -94,6 +95,88 @@ def test_build_examples():
 
     d = build("toric", {"n": 2})
     assert d.sigma == () and d.colors == () and expanded(d.f, 2) == {(0, 0): 1}
+
+
+# Gram matrices of the simple roots and the positive roots in simple-root
+# coordinates; in C2 (Sp4) alpha_1 is short
+ROOT_SYSTEMS = {
+    "SL2": ([[2]], [(1,)]),
+    "SL3": ([[2, -1], [-1, 2]], [(1, 0), (0, 1), (1, 1)]),
+    "SL4": (
+        [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)],
+    ),
+    "Sp4": ([[1, -1], [-1, 2]], [(1, 0), (0, 1), (1, 1), (2, 1)]),
+}
+
+
+def root_data(group_name):
+    """The Gram matrix and positive roots of a product group, simple roots
+    numbered consecutively over the factors; Gm adds none."""
+    from sympy import diag
+
+    blocks = []
+    for factor in group_name.split("x"):
+        name, _, power = factor.partition("^")
+        if name != "Gm":
+            blocks += [ROOT_SYSTEMS[name]] * int(power or 1)
+    gram = diag(*[B for B, _ in blocks])
+    roots, k = [], 0
+    for B, rs in blocks:
+        roots += [(0,) * k + r + (0,) * (gram.rows - k - len(B)) for r in rs]
+        k += len(B)
+    return gram, roots
+
+
+def weight(text):
+    """A registry weight string over w_i, alpha_i and x_i as a sympy expression."""
+    from sympy import sympify
+
+    return sympify(re.sub(r"(\d)([a-z])", r"\1*\2", text))
+
+
+def test_density_and_kappa_from_root_data():
+    # kappa is the sum of the positive roots beta outside the Levi (the simple
+    # roots in no color's zeta), and the density is the product over those
+    # roots of <beta^v, kappa + x> / <beta^v, rho>, x in the span of m_basis
+    from sympy import Poly, Rational, Symbol, symbols
+
+    density_mismatches = []
+    for spec, params in all_instances():
+        data = build(spec.id, params)
+        gram, roots = root_data(data.group_name)
+        n = gram.rows
+        alphas = [Symbol(f"alpha{j + 1}") for j in range(n)]
+        ws = [Symbol(f"w{j + 1}") for j in range(n)]
+        zeta = set().union(*(c.zeta for c in data.colors))
+        outer = [r for r in roots if any(c and f"a{j + 1}" in zeta for j, c in enumerate(r))]
+        kappa = weight(data.kappa_expr)
+        assert kappa == sum(c * a for r in outer for c, a in zip(r, alphas)), spec.id
+
+        def pair(beta, expr):
+            # <beta^v, lambda> = 2 (beta, lambda) / (beta, beta); (w_j, alpha_j)
+            # is half of (alpha_j, alpha_j), and the x_i pair to zero
+            inner = [
+                sum(expr.coeff(alphas[i]) * gram[i, j] for i in range(n))
+                + expr.coeff(ws[j]) * Rational(gram[j, j], 2)
+                for j in range(n)
+            ]
+            length = sum(beta[i] * gram[i, j] * beta[j] for i in range(n) for j in range(n))
+            return 2 * sum(c * v for c, v in zip(beta, inner)) / length
+
+        us = symbols(f"u:{data.rank}")
+        ms = [weight(m) for m in data.m_basis]
+        f = 1
+        for beta in outer:
+            value = pair(beta, kappa) + sum(u * pair(beta, m) for u, m in zip(us, ms))
+            f *= value / pair(beta, sum(ws))
+        got = {e: F(int(c.p), int(c.q)) for e, c in Poly(f, *us).as_dict().items()}
+        if got != expanded(data.f, data.rank):
+            density_mismatches.append((spec.id, params))
+    # the stored density of SL2xGm.T a1=2 has the linear part (2, 0), which
+    # reproduces the published degree 54 of 3-2-13; the label 2w1+x1 of its
+    # second basis vector would give (2, 2) and the degree 46
+    assert density_mismatches == [("SL2xGm.T", {"a1": 2})]
 
 
 def test_data_invariants():

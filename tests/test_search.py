@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,15 @@ import sphfano.search as search
 from sphfano.cli import main
 from sphfano.core import check_reflexive
 from sphfano.geometry import RationalPolytope, convex_hull, transform_polytope
-from sphfano.registry import SHEAR, SymmetryGroup, build, symmetry_group
+from sphfano.registry import (
+    FINITE,
+    FULL_UNIMODULAR,
+    SHEAR,
+    TRIVIAL,
+    SymmetryGroup,
+    build,
+    symmetry_group,
+)
 from sphfano.search import (
     BoundTooTight,
     CanonicalFormError,
@@ -124,7 +133,58 @@ def test_canonical_full_unimodular_square():
     cp1 = canonical_form(data, P, group=group)
     cp2 = canonical_form(data, transform_polytope(M, P), group=group)
     assert cp1.polytope == cp2.polytope
-    assert cp1.stabilizer_size >= 1
+    # the dihedral group of the square, counted on either copy
+    assert cp1.stabilizer_size == cp2.stabilizer_size == 8
+
+
+# every unimodular matrix with entries in [-3, 3]
+_SMALL_UNIMODULAR = [
+    ((a, b), (c, d))
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4)
+    if a * d - b * c in (1, -1)
+]
+
+
+def brute_stabilizer(P, group):
+    """The elements of a finite part of the group that fix P, counted directly."""
+    if group.kind == TRIVIAL:
+        return 1
+    if group.kind == SHEAR:
+        signs = (1, -1) if group.reflection else (1,)
+        elements = [((1, k), (0, s)) for k in range(-30, 31) for s in signs]
+    elif group.kind == FULL_UNIMODULAR:
+        elements = _SMALL_UNIMODULAR
+    else:
+        elements = group.matrices
+    return sum(transform_polytope(M, P) == P for M in elements)
+
+
+def test_stabilizer_size_matches_brute_force(full_catalog):
+    # every rank-1 and rank-2 class, in its canonical position
+    seen = set()
+    for r in full_catalog.records:
+        if r.rank not in (1, 2):
+            continue
+        params = r.params_dict()
+        group = symmetry_group(r.family, params)
+        P = convex_hull(r.vertices, r.rank)
+        cp = canonical_form(build(r.family, params), P, group=group, check=False)
+        assert cp.polytope == P
+        assert cp.stabilizer_size == brute_stabilizer(P, group), r.identifier
+        seen.add(group.kind)
+    assert seen == {TRIVIAL, FINITE, SHEAR, FULL_UNIMODULAR}
+
+
+def test_stabilizer_size_of_moved_toric_classes():
+    # the stabiliser is that of the orbit, wherever the copy lies
+    data = build("toric", {"n": 2})
+    group = symmetry_group("toric", {"n": 2})
+    M = ((2, 1), (1, 1))
+    sizes = [
+        canonical_form(data, transform_polytope(M, cp.polytope), group=group).stabilizer_size
+        for cp in classes("toric", {"n": 2})
+    ]
+    assert sizes == [6, 2, 8, 2, 12]
 
 
 def test_canonical_shear_and_mirror_identify_published_pairs():
