@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -128,9 +129,8 @@ def _job(args):
     """The records of one family instance, identifiers still blank."""
     fid, params, cfg = args
     data = build(fid, params)
-    group = symmetry_group(fid, params)
     out = []
-    for cp in enumerate_polytopes(fid, params, cfg=cfg, data=data, group=group):
+    for cp in enumerate_polytopes(fid, params, cfg=cfg):
         P = cp.polytope
         inv = all_invariants(data, P)
         kv = inv["k_verdict"]
@@ -360,7 +360,15 @@ def emit(catalog: Catalog, fmt: str) -> str:
 # verification against the published tables
 
 
+KE_SPELLINGS = {
+    "True": True, "true": True, "y": True, "yes": True,
+    "False": False, "false": False, "n": False, "no": False,
+}
+
+
 def load_expected_csv(path_or_text) -> dict:
+    """identifier -> (pic, degree, ke) of an expected table; each identifier
+    is dim-rank-number and appears once, and ke is one of `KE_SPELLINGS`."""
     if "\n" in str(path_or_text):
         text = path_or_text
     else:
@@ -373,14 +381,18 @@ def load_expected_csv(path_or_text) -> dict:
     ):
         raise MalformedExpectedFile("expected columns identifier,pic,degree,ke")
     for row in reader:
+        ident, ke = row["identifier"] or "", (row["ke"] or "").strip()
+        where = f"line {reader.line_num}"
+        if not re.fullmatch(r"[0-9]+-[0-9]+-[0-9]+", ident):
+            raise MalformedExpectedFile(f"{where}: identifier {ident!r} is not dim-rank-number")
+        if ident in out:
+            raise MalformedExpectedFile(f"{where}: identifier {ident} given twice")
+        if ke not in KE_SPELLINGS:
+            raise MalformedExpectedFile(f"{where}: ke {ke!r} is none of {', '.join(KE_SPELLINGS)}")
         try:
-            out[row["identifier"]] = (
-                int(row["pic"]),
-                int(row["degree"]),
-                row["ke"].strip() in ("True", "true", "y", "yes"),
-            )
-        except (KeyError, ValueError) as exc:
-            raise MalformedExpectedFile(str(exc)) from exc
+            out[ident] = (int(row["pic"]), int(row["degree"]), KE_SPELLINGS[ke])
+        except (TypeError, ValueError) as exc:
+            raise MalformedExpectedFile(f"{where}: {exc}") from exc
     if not out:
         raise MalformedExpectedFile("no data rows")
     return out

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error (a file that
 cannot be read or written included), 3 internal assertion (search box too
 tight, a canonical-form assumption broken, non-integral degree,
 rank-deficient relations, a vanishing anticanonical class, data whose
-symmetries no group kind describes).
+symmetries no group kind describes, data the root table cannot pair).
 """
 
 from __future__ import annotations

@@ -2,8 +2,11 @@
 
 Each row of `FAMILY_ROWS` is the one declaration of a family in one
 dimension and rank: its id, dimension, rank, builder (a parameterized
-constructor of the rest of its `CombinatorialData`) and the finite list of
-admissible parameter values.  The lattice-symmetry group under which embeddings of an instance
+constructor of its spherical roots, colors, M-basis, group and type) and the
+finite list of admissible parameter values.  `derive` completes the
+builder's data by kappa and the Duistermaat-Heckman density, which the
+group's root system, the colors' zeta and the M-basis fix (Brion, Duke
+Math. J. 58, 1989).  The lattice-symmetry group under which embeddings of an instance
 are considered equivalent is derived from its combinatorial data
 (`symmetry_group`): every unimodular matrix that permutes the spherical
 roots, the colors and the factors of the density, as decided by
@@ -17,6 +20,7 @@ nothing there.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -43,6 +47,10 @@ class UnsupportedSymmetry(AssertionError):
     """Data whose automorphisms no `SymmetryGroup` kind describes."""
 
 
+class RootDataMismatch(AssertionError):
+    """A basis label outside the root table, or a coroot pairing that is not an integer."""
+
+
 # symmetry group kinds
 TRIVIAL = "Trivial"
 FINITE = "FiniteList"
@@ -66,8 +74,9 @@ class FamilySpec:
     """One registry row: a family in one dimension and rank, with its builder.
 
     The builder maps admissible params to the keyword arguments of
-    `CombinatorialData` other than `rank` and `dim`, which the row states;
-    the static rank-0 rows have none.
+    `CombinatorialData` other than `rank` and `dim`, which the row states,
+    and `f` and `kappa_expr`, which `derive` computes; the static rank-0 rows
+    have none.
     """
 
     id: str
@@ -158,8 +167,6 @@ def _toric(p):
     return dict(
         sigma=(),
         colors=(),
-        f=dh(1),
-        kappa_expr="0",
         m_basis=tuple(f"x{i+1}" for i in range(n)),
         group_name="Gm" if n == 1 else f"Gm^{n}",
         space_type="toric",
@@ -170,8 +177,6 @@ def _sl2_t(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 1, {"a1"}), ("hearts", (1,), 1, {"a1"})),
-        f=dh(1, (2, (2,), 1)),
-        kappa_expr="alpha1",
         m_basis=("alpha1",),
         group_name="SL2",
         space_type="symmetric",
@@ -182,8 +187,6 @@ def _sl2_n(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 1, {"a1"})),
-        f=dh(1, (2, (4,), 1)),
-        kappa_expr="alpha1",
         m_basis=("2alpha1",),
         group_name="SL2",
         space_type="symmetric",
@@ -196,20 +199,33 @@ def _sl2gm_horo(p):
     return dict(
         sigma=(),
         colors=_colors(("clubs", (a1,) + (0,) * (n - 1), 2, {"a1"})),
-        f=dh(1, (2, (a1,) + (0,) * (n - 1), 1)),
-        kappa_expr="alpha1",
         m_basis=basis,
         group_name=f"SL2xGm^{n}" if n > 1 else "SL2xGm",
         space_type="horospherical",
     )
 
 
+def _horo(group, **m):
+    """A rank-one horospherical space of group x Gm, with params a_i: one color
+    at rho = (a_i,) with weight m[a_i] for each simple root a_i named in m."""
+
+    def builder(p):
+        suits = zip(("clubs", "hearts", "spades"), m)
+        return dict(
+            sigma=(),
+            colors=_colors(*((suit, (p[a],), m[a], {a}) for suit, a in suits)),
+            m_basis=(_basis_str({f"w{a[1:]}": p[a] for a in m} | {"x1": 1}),),
+            group_name=f"{group}xGm",
+            space_type="horospherical",
+        )
+
+    return builder
+
+
 def _sl2sq_diag_sl2(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 2, {"a1", "a2"})),
-        f=dh(1, (2, (1,), 2)),
-        kappa_expr="alpha1+alpha2",
         m_basis=("w1+w2",),
         group_name="SL2^2",
         space_type="symmetric",
@@ -220,37 +236,9 @@ def _sl2sq_ndiag_sl2(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 2, {"a1", "a2"})),
-        f=dh(4, (1, (1,), 2)),
-        kappa_expr="alpha1+alpha2",
         m_basis=("alpha1+alpha2",),
         group_name="SL2^2",
         space_type="symmetric",
-    )
-
-
-def _sl2sq_horo1(p):
-    a1, a2 = p["a1"], p["a2"]
-    return dict(
-        sigma=(),
-        colors=_colors(("clubs", (a1,), 2, {"a1"}), ("hearts", (a2,), 2, {"a2"})),
-        f=dh(1, (2, (a1,), 1), (2, (a2,), 1)),
-        kappa_expr="alpha1+alpha2",
-        m_basis=(_basis_str({"w1": a1, "w2": a2, "x1": 1}),),
-        group_name="SL2^2xGm",
-        space_type="horospherical",
-    )
-
-
-def _sl3_horo_q(p):
-    a1 = p["a1"]
-    return dict(
-        sigma=(),
-        colors=_colors(("clubs", (a1,), 3, {"a1"})),
-        f=dh(Fraction(1, 2), (3, (a1,), 2)),
-        kappa_expr="2alpha1+alpha2",
-        m_basis=(_basis_str({"w1": a1, "x1": 1}),),
-        group_name="SL3xGm",
-        space_type="horospherical",
     )
 
 
@@ -261,9 +249,7 @@ def _sl2gm_t(p):
         return dict(
             sigma=((1, 0),),
             colors=_colors(("clubs", (1, half), 1, {"a1"}), ("hearts", (1, -half), 1, {"a1"})),
-            f=dh(1, (2, (2, 0), 1)),
-            kappa_expr="alpha1",
-            m_basis=("alpha1", _basis_str({"w1": a1, "x1": 1}) if a1 else "x1"),
+            m_basis=("alpha1", "x1"),
             group_name="SL2xGm",
             space_type="symmetric" if a1 == 0 else "typeT",
         )
@@ -271,8 +257,6 @@ def _sl2gm_t(p):
     return dict(
         sigma=((1, 1),),
         colors=_colors(("clubs", (hi, lo), 1, {"a1"}), ("hearts", (lo, hi), 1, {"a1"})),
-        f=dh(1, (2, (1, 1), 1)),
-        kappa_expr="alpha1",
         m_basis=("w1+x1", "w1-x1"),
         group_name="SL2xGm",
         space_type="typeT",
@@ -283,8 +267,6 @@ def _sl2gm_n_product(p):
     return dict(
         sigma=((1, 0),),
         colors=_colors(("clubs", (2, 0), 1, {"a1"})),
-        f=dh(1, (2, (4, 0), 1)),
-        kappa_expr="alpha1",
         m_basis=("2alpha1", "x1"),
         group_name="SL2xGm",
         space_type="symmetric",
@@ -295,8 +277,6 @@ def _sl2gm_n_diag(p):
     return dict(
         sigma=((1, 1),),
         colors=_colors(("clubs", (1, 1), 1, {"a1"})),
-        f=dh(1, (2, (2, 2), 1)),
-        kappa_expr="alpha1",
         m_basis=("alpha1+x1", "alpha1-x1"),
         group_name="SL2xGm",
         space_type="symmetric",
@@ -307,8 +287,6 @@ def _sl3_sym(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 2, {"a1"}), ("hearts", (1,), 2, {"a2"})),
-        f=dh(1, (2, (1,), 3)),
-        kappa_expr="2alpha1+2alpha2",
         m_basis=("alpha1+alpha2",),
         group_name="SL3",
         space_type="symmetric",
@@ -323,8 +301,6 @@ def _sl3_horosym(p):
             ("hearts", (1,), 1, {"a2"}),
             ("diamonds", (1,), 1, {"a2"}),
         ),
-        f=dh(1, (2, (-1,), 1), (1, (1,), 1), (4, (1,), 1)),
-        kappa_expr="2alpha1+2alpha2",
         m_basis=("alpha2",),
         group_name="SL3",
         space_type="horosymmetric",
@@ -335,24 +311,9 @@ def _sl3_nhorosym(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (-2,), 2, {"a1"}), ("hearts", (2,), 1, {"a2"})),
-        f=dh(4, (1, (-1,), 1), (1, (2,), 1), (2, (1,), 1)),
-        kappa_expr="2alpha1+2alpha2",
         m_basis=("2alpha2",),
         group_name="SL3",
         space_type="horosymmetric",
-    )
-
-
-def _sl3_horo_b(p):
-    a1, a2 = p["a1"], p["a2"]
-    return dict(
-        sigma=(),
-        colors=_colors(("clubs", (a1,), 2, {"a1"}), ("hearts", (a2,), 2, {"a2"})),
-        f=dh(Fraction(1, 2), (2, (a1,), 1), (2, (a2,), 1), (4, (a1 + a2,), 1)),
-        kappa_expr="2alpha1+2alpha2",
-        m_basis=(_basis_str({"w1": a1, "w2": a2, "x1": 1}),),
-        group_name="SL3xGm",
-        space_type="horospherical",
     )
 
 
@@ -360,8 +321,6 @@ def _sp4_nsym(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 3, {"a2"})),
-        f=dh(Fraction(1, 3), (3, (2,), 3)),
-        kappa_expr="3alpha1+3alpha2",
         m_basis=("2alpha1+2alpha2",),
         group_name="Sp4",
         space_type="symmetric",
@@ -372,8 +331,6 @@ def _sp4_sym(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 3, {"a2"})),
-        f=dh(Fraction(1, 3), (3, (1,), 3)),
-        kappa_expr="3alpha1+3alpha2",
         m_basis=("alpha1+alpha2",),
         group_name="Sp4",
         space_type="symmetric",
@@ -389,8 +346,6 @@ def _sl3sl2_qxt(p):
             ("hearts", (1,), 1, {"a3"}),
             ("diamonds", (0,), 3, {"a1"}),
         ),
-        f=dh(1, (3, (0,), 1), (Fraction(3, 2), (0,), 1), (2, (2,), 1)),
-        kappa_expr="2alpha1+alpha2+alpha3",
         m_basis=("alpha3",),
         group_name="SL3xSL2",
         space_type="symmetric",
@@ -401,8 +356,6 @@ def _sl3sl2_qxnt(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 1, {"a3"}), ("diamonds", (0,), 3, {"a1"})),
-        f=dh(1, (3, (0,), 1), (Fraction(3, 2), (0,), 1), (2, (4,), 1)),
-        kappa_expr="2alpha1+alpha2+alpha3",
         m_basis=("2alpha3",),
         group_name="SL3xSL2",
         space_type="symmetric",
@@ -414,8 +367,6 @@ def _sl2cube_b_diag(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 2, {"a2", "a3"}), ("diamonds", (0,), 2, {"a1"})),
-        f=dh(1, (2, (0,), 1), (2, (1,), 2)),
-        kappa_expr="alpha1+alpha2+alpha3",
         m_basis=("w2+w3",),
         group_name="SL2^3",
         space_type="symmetric",
@@ -426,8 +377,6 @@ def _sl2cube_b_ndiag(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 2, {"a2", "a3"}), ("diamonds", (0,), 2, {"a1"})),
-        f=dh(4, (2, (0,), 1), (1, (1,), 2)),
-        kappa_expr="alpha1+alpha2+alpha3",
         m_basis=("alpha2+alpha3",),
         group_name="SL2^3",
         space_type="symmetric",
@@ -443,8 +392,6 @@ def _sl2cube_bbxt(p):
             ("diamonds", (0,), 2, {"a1"}),
             ("spades", (0,), 2, {"a2"}),
         ),
-        f=dh(1, (2, (0,), 1), (2, (0,), 1), (2, (2,), 1)),
-        kappa_expr="alpha1+alpha2+alpha3",
         m_basis=("alpha3",),
         group_name="SL2^3",
         space_type="symmetric",
@@ -459,80 +406,9 @@ def _sl2cube_bbxnt(p):
             ("diamonds", (0,), 2, {"a1"}),
             ("spades", (0,), 2, {"a2"}),
         ),
-        f=dh(1, (2, (0,), 1), (2, (0,), 1), (2, (4,), 1)),
-        kappa_expr="alpha1+alpha2+alpha3",
         m_basis=("2alpha3",),
         group_name="SL2^3",
         space_type="symmetric",
-    )
-
-
-def _sl2cube_horo(p):
-    a1, a2, a3 = p["a1"], p["a2"], p["a3"]
-    return dict(
-        sigma=(),
-        colors=_colors(
-            ("clubs", (a1,), 2, {"a1"}),
-            ("hearts", (a2,), 2, {"a2"}),
-            ("spades", (a3,), 2, {"a3"}),
-        ),
-        f=dh(1, (2, (a1,), 1), (2, (a2,), 1), (2, (a3,), 1)),
-        kappa_expr="alpha1+alpha2+alpha3",
-        m_basis=(_basis_str({"w1": a1, "w2": a2, "w3": a3, "x1": 1}),),
-        group_name="SL2^3xGm",
-        space_type="horospherical",
-    )
-
-
-def _sl3sl2_horo(p):
-    a1, a3 = p["a1"], p["a3"]
-    return dict(
-        sigma=(),
-        colors=_colors(("clubs", (a1,), 3, {"a1"}), ("hearts", (a3,), 2, {"a3"})),
-        f=dh(Fraction(1, 2), (3, (a1,), 2), (2, (a3,), 1)),
-        kappa_expr="2alpha1+alpha2+alpha3",
-        m_basis=(_basis_str({"w1": a1, "w3": a3, "x1": 1}),),
-        group_name="SL3xSL2xGm",
-        space_type="horospherical",
-    )
-
-
-def _sp4_horo_short(p):
-    a1 = p["a1"]
-    return dict(
-        sigma=(),
-        colors=_colors(("clubs", (a1,), 4, {"a1"})),
-        f=dh(Fraction(1, 6), (4, (a1,), 3)),
-        kappa_expr="4alpha1+2alpha2",
-        m_basis=(_basis_str({"w1": a1, "x1": 1}),),
-        group_name="Sp4xGm",
-        space_type="horospherical",
-    )
-
-
-def _sp4_horo_long(p):
-    a2 = p["a2"]
-    return dict(
-        sigma=(),
-        colors=_colors(("clubs", (a2,), 3, {"a2"})),
-        f=dh(Fraction(1, 3), (3, (a2,), 3)),
-        kappa_expr="3alpha1+3alpha2",
-        m_basis=(_basis_str({"w2": a2, "x1": 1}),),
-        group_name="Sp4xGm",
-        space_type="horospherical",
-    )
-
-
-def _sl4_horo(p):
-    a1 = p["a1"]
-    return dict(
-        sigma=(),
-        colors=_colors(("clubs", (a1,), 4, {"a1"})),
-        f=dh(Fraction(1, 6), (4, (a1,), 3)),
-        kappa_expr="3alpha1+2alpha2+alpha3",
-        m_basis=(_basis_str({"w1": a1, "x1": 1}),),
-        group_name="SL4xGm",
-        space_type="horospherical",
     )
 
 
@@ -540,8 +416,6 @@ def _sl2sqgm_diag_sl2(p):
     return dict(
         sigma=((1, 0),),
         colors=_colors(("clubs", (1, 0), 2, {"a1", "a2"})),
-        f=dh(1, (2, (1, 0), 2)),
-        kappa_expr="alpha1+alpha2",
         m_basis=("w1+w2", "x1"),
         group_name="SL2^2xGm",
         space_type="group-compactification",
@@ -552,8 +426,6 @@ def _sl2sqgm_ndiag_sl2(p):
     return dict(
         sigma=((1, 0),),
         colors=_colors(("clubs", (2, 0), 2, {"a1", "a2"})),
-        f=dh(4, (1, (1, 0), 2)),
-        kappa_expr="alpha1+alpha2",
         m_basis=("alpha1+alpha2", "x1"),
         group_name="SL2^2xGm",
         space_type="group-compactification",
@@ -564,8 +436,6 @@ def _sl2sq_gl2(p):
     return dict(
         sigma=((1, 1),),
         colors=_colors(("clubs", (1, 1), 2, {"a1", "a2"})),
-        f=dh(1, (2, (1, 1), 2)),
-        kappa_expr="alpha1+alpha2",
         m_basis=("w1+w2+x1", "w1+w2-x1"),
         group_name="SL2^2xGm",
         space_type="group-compactification",
@@ -580,8 +450,6 @@ def _sl2sq_diag_b(p):
             ("hearts", (1, 0), 1, {"a1", "a2"}),
             ("diamonds", (0, -1), 1, {"a2"}),
         ),
-        f=dh(1, (2, (1, 1), 1), (2, (1, -1), 1)),
-        kappa_expr="alpha1+alpha2",
         m_basis=("w1+w2", "w1-w2"),
         group_name="SL2^2",
         space_type="diag-Borel",
@@ -596,8 +464,6 @@ def _sl2sq_ndiag_b(p):
             ("hearts", (1, 1), 1, {"a1", "a2"}),
             ("diamonds", (-1, 1), 1, {"a2"}),
         ),
-        f=dh(4, (1, (1, 0), 1), (1, (0, 1), 1)),
-        kappa_expr="alpha1+alpha2",
         m_basis=("alpha1", "alpha2"),
         group_name="SL2^2",
         space_type="diag-Borel",
@@ -613,8 +479,6 @@ def _sl2sq_txt(p):
             ("spades", (0, 1), 1, {"a2"}),
             ("diamonds", (0, 1), 1, {"a2"}),
         ),
-        f=dh(4, (1, (1, 0), 1), (1, (0, 1), 1)),
-        kappa_expr="alpha1+alpha2",
         m_basis=("alpha1", "alpha2"),
         group_name="SL2^2",
         space_type="symmetric",
@@ -629,8 +493,6 @@ def _sl2sq_ntxt(p):
             ("spades", (0, 1), 1, {"a2"}),
             ("diamonds", (0, 1), 1, {"a2"}),
         ),
-        f=dh(4, (1, (2, 0), 1), (1, (0, 1), 1)),
-        kappa_expr="alpha1+alpha2",
         m_basis=("2alpha1", "alpha2"),
         group_name="SL2^2",
         space_type="symmetric",
@@ -641,8 +503,6 @@ def _sl2sq_ntxnt(p):
     return dict(
         sigma=((1, 0), (0, 1)),
         colors=_colors(("clubs", (2, 0), 1, {"a1"}), ("spades", (0, 2), 1, {"a2"})),
-        f=dh(4, (1, (2, 0), 1), (1, (0, 2), 1)),
-        kappa_expr="alpha1+alpha2",
         m_basis=("2alpha1", "2alpha2"),
         group_name="SL2^2",
         space_type="symmetric",
@@ -653,8 +513,6 @@ def _sl2sq_diag_nt(p):
     return dict(
         sigma=((1, 1), (1, -1)),
         colors=_colors(("clubs", (1, 1), 1, {"a1"}), ("spades", (1, -1), 1, {"a2"})),
-        f=dh(4, (1, (1, 1), 1), (1, (1, -1), 1)),
-        kappa_expr="alpha1+alpha2",
         m_basis=("alpha1+alpha2", "alpha1-alpha2"),
         group_name="SL2^2",
         space_type="symmetric",
@@ -672,8 +530,6 @@ def _sl2sq_pi_t(p):
                 ("hearts", (1, -half), 1, {"a1"}),
                 ("diamonds", (0, a2), 2, {"a2"}),
             ),
-            f=dh(2, (1, (1, 0), 1), (2, (0, a2), 1)),
-            kappa_expr="alpha1+alpha2",
             m_basis=("alpha1", _basis_str({"w2": a2, "x1": 1})),
             group_name="SL2^2xGm",
             space_type="typeT",
@@ -686,8 +542,6 @@ def _sl2sq_pi_t(p):
             ("hearts", (lo, hi), 1, {"a1"}),
             ("diamonds", (a2, -a2), 2, {"a2"}),
         ),
-        f=dh(1, (2, (1, 1), 1), (2, (a2, -a2), 1)),
-        kappa_expr="alpha1+alpha2",
         m_basis=(
             _basis_str({"w1": 1, "w2": a2, "x1": 1}),
             _basis_str({"w1": 1, "w2": -a2, "x1": -1}),
@@ -702,8 +556,6 @@ def _sl2sq_pi_n_product(p):
     return dict(
         sigma=((1, 0),),
         colors=_colors(("clubs", (2, 0), 1, {"a1"}), ("diamonds", (0, a2), 2, {"a2"})),
-        f=dh(2, (1, (2, 0), 1), (2, (0, a2), 1)),
-        kappa_expr="alpha1+alpha2",
         m_basis=("2alpha1", _basis_str({"w2": a2, "x1": 1})),
         group_name="SL2^2xGm",
         space_type="typeN",
@@ -715,8 +567,6 @@ def _sl2sq_pi_n_diag(p):
     return dict(
         sigma=((1, 1),),
         colors=_colors(("clubs", (1, 1), 1, {"a1"}), ("diamonds", (a2, -a2), 2, {"a2"})),
-        f=dh(2, (1, (1, 1), 1), (2, (a2, -a2), 1)),
-        kappa_expr="alpha1+alpha2",
         m_basis=(
             _basis_str({"alpha1": 1, "w2": a2, "x1": 1}),
             _basis_str({"alpha1": 1, "w2": -a2, "x1": -1}),
@@ -731,8 +581,6 @@ def _sl2sq_horo2(p):
     return dict(
         sigma=(),
         colors=_colors(("clubs", (a1, 0), 2, {"a1"}), ("hearts", (a2, b2), 2, {"a2"})),
-        f=dh(1, (2, (a1, 0), 1), (2, (a2, b2), 1)),
-        kappa_expr="alpha1+alpha2",
         m_basis=(
             _basis_str({"w1": a1, "w2": a2, "x1": 1}),
             _basis_str({"w2": b2, "x2": 1}),
@@ -747,8 +595,6 @@ def _sl3_horo2(p):
     return dict(
         sigma=(),
         colors=_colors(("clubs", (a1, 0), 3, {"a1"})),
-        f=dh(Fraction(1, 2), (3, (a1, 0), 2)),
-        kappa_expr="2alpha1+alpha2",
         m_basis=(_basis_str({"w1": a1, "x1": 1}), "x2"),
         group_name="SL3xGm^2",
         space_type="horospherical",
@@ -786,7 +632,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "SL2sq.horo1",
         3,
         1,
-        _sl2sq_horo1,
+        _horo("SL2^2", a1=2, a2=2),
         "a1 >= |a2|, both in {-1, 0, 1}",  # |ai| >= 2 excluded by the color conditions
         _pb({"a1": 0, "a2": 0}, {"a1": 1, "a2": 0}, {"a1": 1, "a2": 1}, {"a1": 1, "a2": -1}),
         product_note="a2=0: product of P1 with a rank-one horospherical SL2xGm space",
@@ -795,7 +641,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "SL3.horo.Q",
         3,
         1,
-        _sl3_horo_q,
+        _horo("SL3", a1=3),
         "a1 in {0, 1, 2}",  # a1/3 interior forces a1 <= 2; vertex forces a1 = 1
         _pb({"a1": 0}, {"a1": 1}, {"a1": 2}),
         product_note="a1=0: product P2 x Gm",
@@ -831,7 +677,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "SL3.horo.B",
         4,
         1,
-        _sl3_horo_b,
+        _horo("SL3", a1=2, a2=2),
         "a1 >= |a2|, both in {-1, 0, 1}",
         _pb({"a1": 0, "a2": 0}, {"a1": 1, "a2": 0}, {"a1": 1, "a2": 1}, {"a1": 1, "a2": -1}),
         product_note="(0,0): product W x P1",
@@ -866,7 +712,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "SL2cube.horo",
         4,
         1,
-        _sl2cube_horo,
+        _horo("SL2^3", a1=2, a2=2, a3=2),
         "a1 >= |a2| >= |a3| in {-1, 0, 1}, signs up to a global flip",
         # (1,-1,-1) is the same subgroup as (1,1,-1) after replacing chi by -chi
         # and permuting the factors, so it is not listed separately.
@@ -884,7 +730,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "SL3xSL2.horo",
         4,
         1,
-        _sl3sl2_horo,
+        _horo("SL3xSL2", a1=3, a3=2),
         "a1 in {0, 1, 2}; a3 in {-1, 0, 1}, a3 >= 0 when a1 = 0",
         _pb(
             {"a1": 0, "a3": 0},
@@ -902,7 +748,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "Sp4.horo.short",
         4,
         1,
-        _sp4_horo_short,
+        _horo("Sp4", a1=4),
         "a1 in {0, 1, 2, 3}",  # m = 4 allows a1/4 interior up to a1 = 3
         _pb({"a1": 0}, {"a1": 1}, {"a1": 2}, {"a1": 3}),
         product_note="a1=0: P3 x P1",
@@ -911,7 +757,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "Sp4.horo.long",
         4,
         1,
-        _sp4_horo_long,
+        _horo("Sp4", a2=3),
         "a2 in {0, 1, 2}",
         _pb({"a2": 0}, {"a2": 1}, {"a2": 2}),
         product_note="a2=0: Q3 x P1",
@@ -920,7 +766,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "SL4.horo",
         4,
         1,
-        _sl4_horo,
+        _horo("SL4", a1=4),
         "a1 in {0, 1, 2, 3}",
         _pb({"a1": 0}, {"a1": 1}, {"a1": 2}, {"a1": 3}),
         product_note="a1=0: P3 x P1",
@@ -1024,13 +870,107 @@ def family_spec(fid: str, params: dict) -> FamilySpec:
     raise UnknownFamily(fid)
 
 
+# ---------------------------------------------------------------------------
+# kappa and the density from the root system (Brion, Duke Math. J. 58, 1989)
+
+
+# per simple factor: the Gram matrix of the simple roots and the positive
+# roots in simple-root coordinates; in C2 (Sp4) alpha_1 is short
+ROOT_TABLE = {
+    "SL2": (((2,),), ((1,),)),
+    "SL3": (((2, -1), (-1, 2)), ((1, 0), (0, 1), (1, 1))),
+    "SL4": (
+        ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)),
+    ),
+    "Sp4": (((1, -1), (-1, 2)), ((1, 0), (0, 1), (1, 1), (2, 1))),
+}
+
+# one signed term of a basis label: coefficient, symbol, index
+_TERM = re.compile(r"([+-]?\d*)(alpha|w|x)(\d+)")
+
+
+def _root_data(group_name: str) -> tuple[list, list]:
+    """The Gram matrix and the positive roots of a product group, the simple
+    roots numbered across its factors in order; Gm adds none."""
+    gram, roots = [], []
+    for factor in group_name.split("x"):
+        name, _, power = factor.partition("^")
+        for _ in range(0 if name == "Gm" else int(power or 1)):
+            g, rs = ROOT_TABLE[name]
+            k, n = len(gram), len(g)
+            gram = [row + [0] * n for row in gram] + [[0] * k + list(row) for row in g]
+            roots = [r + (0,) * n for r in roots] + [(0,) * k + r for r in rs]
+    return gram, roots
+
+
+def _doubled_products(label: str, gram: list) -> list[int]:
+    """2 (alpha_j, lambda) for each simple root alpha_j, where the label writes
+    lambda over the alpha_i, the fundamental weights w_i, with (w_i, alpha_j)
+    half of (alpha_j, alpha_j) if i = j and 0 otherwise, and the x_i, which
+    are orthogonal to every root."""
+    terms = _TERM.findall(label)
+    if "".join(map("".join, terms)) != label:
+        raise RootDataMismatch(f"cannot read the basis label {label!r}")
+    out = [0] * len(gram)
+    for coeff, sym, index in terms:
+        c, i = int(coeff + "1" if coeff in ("", "+", "-") else coeff), int(index) - 1
+        if sym != "x" and not 0 <= i < len(gram):
+            raise RootDataMismatch(f"the basis label {label!r} names no simple root {index}")
+        if sym == "alpha":
+            out = [o + 2 * c * g for o, g in zip(out, gram[i])]
+        elif sym == "w":
+            out[i] += c * gram[i][i]
+    return out
+
+
+def derive(spec: FamilySpec, params: dict) -> CombinatorialData:
+    """The builder's data at params, completed from the root system; params
+    are not checked against the bound.
+
+    kappa is the sum of the positive roots beta outside the Levi, whose
+    simple roots lie in no color's zeta.  The density is the product over
+    those roots of <beta^v, kappa + x> / <beta^v, rho> with x = sum u_i m_i:
+    one factor per root in table order, equal factors merged into one with a
+    multiplicity.
+    """
+    fields = spec.builder(params)
+    gram, roots = _root_data(fields["group_name"])
+    zeta = set().union(*(c.zeta for c in fields["colors"]))
+    outer = [b for b in roots if any(c and f"a{j + 1}" in zeta for j, c in enumerate(b))]
+    kappa = [sum(col) for col in zip(*outer)]
+    kappa_products = [2 * sum(k * g for k, g in zip(kappa, row)) for row in gram]
+    m_products = [_doubled_products(m, gram) for m in fields["m_basis"]]
+    norms = {b: sum(x * g * y for x, row in zip(b, gram) for g, y in zip(row, b)) for b in outer}
+
+    def coroot(beta, products) -> int:
+        # <beta^v, lambda> = 2 (beta, lambda) / (beta, beta)
+        q, r = divmod(sum(b * p for b, p in zip(beta, products)), norms[beta])
+        if r:
+            raise RootDataMismatch(f"{spec.id} {params}: a pairing with {beta}^v is not integral")
+        return q
+
+    denominator, factors = 1, Counter()
+    for beta in outer:
+        denominator *= coroot(beta, [row[j] for j, row in enumerate(gram)])  # rho = sum w_j
+        factors[coroot(beta, kappa_products), tuple(coroot(beta, m) for m in m_products)] += 1
+    f = dh(Fraction(1, denominator), *((c, lin, k) for (c, lin), k in factors.items()))
+    kappa_expr = _basis_str({f"alpha{j + 1}": k for j, k in enumerate(kappa)})
+    return CombinatorialData(spec.rank, spec.dim, f=f, kappa_expr=kappa_expr, **fields)
+
+
 def build(fid: str, params: dict | None = None) -> CombinatorialData:
-    """The combinatorial data of one homogeneous space, in its fixed M-basis."""
-    params = dict(params or {})
-    spec = family_spec(fid, params)
+    """The combinatorial data of one homogeneous space, in its fixed M-basis;
+    memoised per instance."""
+    return _build(fid, params_key(dict(params or {})))
+
+
+@cache
+def _build(fid: str, key: tuple) -> CombinatorialData:
+    spec = family_spec(fid, dict(key))
     if spec.builder is None:
         raise UnknownFamily(f"{fid} has no combinatorial data (static rank-0 entry)")
-    return CombinatorialData(spec.rank, spec.dim, **spec.builder(params))
+    return derive(spec, dict(key))
 
 
 # ---------------------------------------------------------------------------

@@ -337,13 +337,9 @@ def enumerate_rank2(
     return sorted(found.values(), key=lambda c: _store_key(c.polytope))
 
 
-def enumerate_polytopes(fid, params=None, cfg=None, data=None, group=None):
+def enumerate_polytopes(fid, params=None, cfg=None):
     """Dispatch by rank; the entry point used by the catalog builder."""
-    params = dict(params or {})
-    if data is None:
-        data = build(fid, params)
-    if group is None:
-        group = symmetry_group(fid, params)
+    data, group = build(fid, params), symmetry_group(fid, params)
     if data.rank == 1:
         return enumerate_rank1(data, group=group)
     return enumerate_rank2(data, cfg=cfg, group=group)

@@ -234,6 +234,33 @@ def test_cli_verify_missing_expected_file(tmp_path):
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (["2-1-1,1,8,True", "2-1-1,2,8,True"], "given twice"),
+        (["2-1-1,2,8,True", "2-1-1,1,8,True"], "given twice"),
+        (["foo,1,8,True"], "not dim-rank-number"),
+        (["2-1-1,2,8,maybe"], "ke 'maybe'"),
+    ],
+)
+def test_cli_verify_malformed_expected_rows(tmp_path, monkeypatch, capsys, rows, message):
+    # duplicate rows in either order, a malformed identifier and an unknown ke
+    # spelling are usage errors found before the catalog is built
+    monkeypatch.setattr("sphfano.cli.build_catalog", lambda *a, **k: pytest.fail("catalog built"))
+    path = tmp_path / "expected.csv"
+    path.write_text("identifier,pic,degree,ke\n" + "\n".join(rows) + "\n")
+    assert main(["verify", "--expected", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_expected_ke_spellings():
+    text = "identifier,pic,degree,ke\n" + "".join(
+        f"2-1-{i},1,8,{ke}\n" for i, ke in enumerate(("True", "yes", "False", " no"))
+    )
+    assert [ke for _, _, ke in load_expected_csv(text).values()] == [True, True, False, False]
+
+
 def test_cli_catalog_unwritable_out(tmp_path):
     r = run_cli("catalog", "--dim", "2", "--out", str(tmp_path / "missing" / "x.csv"))
     assert r.returncode == 2

@@ -17,12 +17,15 @@ from sphfano.registry import (
     FULL_UNIMODULAR,
     SHEAR,
     TRIVIAL,
+    ROOT_TABLE,
     ParamsOutOfDomain,
+    RootDataMismatch,
     UnknownFamily,
     UnsupportedSymmetry,
     _rank2_group,
     build,
     data_preserving_permutation,
+    derive,
     families,
     rank0_entries,
     registry_json,
@@ -173,10 +176,24 @@ def test_density_and_kappa_from_root_data():
         got = {e: F(int(c.p), int(c.q)) for e, c in Poly(f, *us).as_dict().items()}
         if got != expanded(data.f, data.rank):
             density_mismatches.append((spec.id, params))
-    # the stored density of SL2xGm.T a1=2 has the linear part (2, 0), which
-    # reproduces the published degree 54 of 3-2-13; the label 2w1+x1 of its
-    # second basis vector would give (2, 2) and the degree 46
-    assert density_mismatches == [("SL2xGm.T", {"a1": 2})]
+    assert density_mismatches == []
+
+
+def test_build_is_memoised_per_instance():
+    assert build("SL2sq.PI-T", {"a1": 1, "a2": 1}) is build("SL2sq.PI-T", {"a2": 1, "a1": 1})
+
+
+def test_root_data_mismatches_raise(monkeypatch):
+    spec = next(f for f in families() if f.id == "SL3.sym")
+    # a Gram matrix under which <(alpha1 + alpha2)^v, rho> = 6/4
+    monkeypatch.setitem(ROOT_TABLE, "SL3", (((2, -1), (-1, 4)), ROOT_TABLE["SL3"][1]))
+    with pytest.raises(RootDataMismatch, match="not integral"):
+        derive(spec, {})
+    monkeypatch.undo()
+    for label in ("alpha1+y1", "alpha3", "alpha1*2"):
+        bad = replace(spec, builder=lambda p, label=label: {**spec.builder(p), "m_basis": (label,)})
+        with pytest.raises(RootDataMismatch):
+            derive(bad, {})
 
 
 def test_data_invariants():
@@ -352,8 +369,7 @@ def test_bound_safety_out_of_bound_params_give_nothing():
     import sphfano.registry as R
 
     def forced(fid, params):
-        spec = [f for f in R.FAMILY_ROWS if f.id == fid][0]
-        return CombinatorialData(spec.rank, spec.dim, **spec.builder(params))
+        return derive(next(f for f in R.FAMILY_ROWS if f.id == fid), params)
 
     # type T at a1 = 3 (odd table)
     data = forced("SL2xGm.T", {"a1": 3})
