@@ -168,8 +168,8 @@ def build_catalog(dims=None, ranks=None, cfg=None, jobs=1, warn=None) -> Catalog
     """Enumerate everything in scope and attach identifiers."""
     if type(jobs) is not int or not 1 <= jobs <= MAX_JOBS:
         raise InvalidConfig(f"jobs must be an integer in 1..{MAX_JOBS}, got {jobs!r}")
-    dims = dims or DIMS
-    ranks = ranks or RANKS
+    dims = DIMS if dims is None else dims
+    ranks = RANKS if ranks is None else ranks
     cfg = cfg or default_config()
     warn = warn or (lambda msg: print(f"warning: {msg}", file=sys.stderr))
 

@@ -31,6 +31,7 @@ from .geometry import (
     rat_str,
     parse_rat,
     scaled_ints,
+    vec_str,
 )
 
 INTERIOR = "Interior"
@@ -150,7 +151,6 @@ def cone_over_face_meets_interior(data: CombinatorialData, face_vertices) -> boo
         return valuation_cone_position(data, face_vertices[0]) == INTERIOR
     v1, v2 = face_vertices
     lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
-    lo_strict = hi_strict = False
     for s in data.sigma:
         a = sum(si * c for si, c in zip(s, v1))
         d = sum(si * c for si, c in zip(s, v2)) - a
@@ -162,13 +162,12 @@ def cone_over_face_meets_interior(data: CombinatorialData, face_vertices) -> boo
         if d > 0:
             # t < -a / d
             if -a * hi_d <= hi_n * d:
-                hi_n, hi_d, hi_strict = -a, d, True
+                hi_n, hi_d = -a, d
         else:
             # t > a / -d
             if a * lo_d >= -lo_n * d:
-                lo_n, lo_d, lo_strict = a, -d, True
-    c = lo_n * hi_d - hi_n * lo_d
-    return c < 0 or (c == 0 and not (lo_strict or hi_strict))
+                lo_n, lo_d = a, -d
+    return lo_n * hi_d < hi_n * lo_d
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +257,16 @@ def check_reflexive(data: CombinatorialData, P: RationalPolytope) -> Verdict:
 
     for c, q in zip(data.colors, colors):
         if any(outside(f, q) for f in fs):
-            violations.append(("C2", f"color {c.label} point {c.point()} outside the polytope"))
+            violations.append(("C2", f"color {c.label} point {vec_str(c.point())} outside the polytope"))
 
     color_locations = set(colors)
     for v, w in zip(P.vertices, verts):
         if w in color_locations:
             continue
         if any(c % scale for c in w):
-            violations.append(("C3", f"vertex {v} is neither integral nor a color point"))
+            violations.append(("C3", f"vertex {vec_str(v)} is neither integral nor a color point"))
         elif valuation_cone_position(data, w) == OUTSIDE:
-            violations.append(("C3", f"integral vertex {v} outside the valuation cone"))
+            violations.append(("C3", f"integral vertex {vec_str(v)} outside the valuation cone"))
 
     for n, _, f in fs:
         found = facet_violation(data, f, colors, scale)

@@ -300,89 +300,44 @@ def snf(A):
     """Smith normal form: returns (U, S, V) with U*A*V = S.
 
     U and V are unimodular; S is diagonal with nonnegative entries and
-    d_i | d_{i+1}.
+    d_i | d_{i+1}.  One pass over the diagonal: each step moves a least
+    nonzero entry of the remaining block to (t, t) and clears row t and
+    column t by floor division.  The step repeats while a remainder is left,
+    or while an entry of the rest of the block is not a multiple of the pivot
+    (that entry's row is added to row t first); either way the next pivot is
+    smaller, so the loop ends.  Each row of A carries its row of U along.
     """
-    A = [list(row) for row in A]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = [list(r) for r in mat_identity(m)]
-    V = [list(r) for r in mat_identity(n)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):  # row_i += q * row_j
-        A[i] = [a + q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-
-    def add_col(i, j, q):  # col_i += q * col_j
-        for row in A:
-            row[i] += q * row[j]
-        for row in V:
-            row[i] += q * row[j]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    def diagonalize():
-        t = 0
-        while t < min(m, n):
-            pivot = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if A[i][j] != 0 and (
-                        pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])
-                    ):
-                        pivot = (i, j)
-            if pivot is None:
+    m, n = len(A), len(A[0]) if A else 0
+    A = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(A)]
+    V = [[int(i == k) for k in range(n)] for i in range(n)]
+    for t in range(min(m, n)):
+        while True:
+            block = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+            if not block:
                 break
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
-            while True:
-                done = True
-                for i in range(t + 1, m):
-                    if A[i][t]:
-                        add_row(i, t, -(A[i][t] // A[t][t]))
-                        if A[i][t]:  # remainder became the smaller pivot
-                            swap_rows(i, t)
-                            done = False
-                for j in range(t + 1, n):
-                    if A[t][j]:
-                        add_col(j, t, -(A[t][j] // A[t][t]))
-                        if A[t][j]:
-                            swap_cols(j, t)
-                            done = False
-                if done:
-                    break
-            if A[t][t] < 0:
-                negate_row(t)
-            t += 1
-
-    diagonalize()
-    # enforce d_i | d_{i+1}: fold the offending entry back in and re-reduce;
-    # each pass strictly shrinks a diagonal entry, so this terminates
-    while True:
-        bad = None
-        for i in range(min(m, n) - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if b % a if a else b:
-                bad = i
+            _, i, j = min(block)
+            A[t], A[i] = A[i], A[t]
+            for row in A + V:
+                row[t], row[j] = row[j], row[t]
+            p = A[t][t]
+            for i in range(t + 1, m):
+                q = A[i][t] // p
+                if q:
+                    A[i] = [a - q * b for a, b in zip(A[i], A[t])]
+            for j in range(t + 1, n):
+                q = A[t][j] // p
+                if q:
+                    for row in A + V:
+                        row[j] -= q * row[t]
+            if any(A[i][t] for i in range(t + 1, m)) or any(A[t][t + 1 : n]):
+                continue
+            bad = next((i for i in range(t + 1, m) if any(a % p for a in A[i][t + 1 : n])), None)
+            if bad is None:
                 break
-        if bad is None:
-            break
-        add_col(bad, bad + 1, 1)
-        diagonalize()
-
-    S = tuple(tuple(row) for row in A)
-    return tuple(tuple(r) for r in U), S, tuple(tuple(r) for r in V)
+            A[t] = [a + b for a, b in zip(A[t], A[bad])]
+        if A[t][t] < 0:
+            A[t] = [-a for a in A[t]]
+    return tuple(tuple(r[n:]) for r in A), tuple(tuple(r[:n]) for r in A), tuple(map(tuple, V))
 
 
 def det2(u, v) -> int:

@@ -82,13 +82,10 @@ def _accepted(data: CombinatorialData, P: RationalPolytope) -> _Accepted:
     A = tuple(c.rho for c in data.colors) + g_stable
     U, S, V = snf(A)
     r = data.rank
-    nonzero = sum(1 for i in range(min(len(A), r)) if S[i][i] != 0)
-    if nonzero != r:
-        raise RelationRankDeficit(f"relation matrix rank {nonzero}, expected {r}")
-    if any(S[i][i] != 1 for i in range(r)):
-        # locally factorial embeddings have free Picard group; torsion here
-        # means a transcription bug upstream, so refuse to continue
-        raise RelationRankDeficit(f"torsion in Picard presentation: {S}")
+    if len(A) < r or any(S[i][i] != 1 for i in range(r)):
+        # locally factorial embeddings have a free Picard group of the full
+        # relation rank; anything else means a transcription bug upstream
+        raise RelationRankDeficit(f"relation matrix {A} has Smith form {S}, not {r} leading ones")
     return _Accepted(
         DivisorBasis(data.colors, g_stable),
         PicardPresentation(A, (U, S, V), len(A) - r),

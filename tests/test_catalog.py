@@ -84,6 +84,15 @@ def test_rank0_rows():
     assert degrees == [48, 48, 54, 54, 64, 64]
 
 
+def test_empty_scope_builds_nothing(monkeypatch):
+    # only None means the full scope, as for families(); an empty list of
+    # dimensions or ranks selects no record and searches no family
+    monkeypatch.setattr("sphfano.catalog._job", lambda job: pytest.fail("a family was searched"))
+    for dims, ranks in (([], [0]), ([1], []), ([], None), (None, [])):
+        cat = build_catalog(dims=dims, ranks=ranks)
+        assert cat.records == () and cat.total() == 0
+
+
 def test_json_roundtrip():
     cat = build_catalog(dims=[2], ranks=[0, 1, 2])
     data = json.loads(emit(cat, "json"))

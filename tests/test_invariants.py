@@ -6,11 +6,13 @@ import pytest
 
 from sphfano import invariants
 from sphfano.core import check_reflexive
-from sphfano.geometry import RationalPolytope, convex_hull, transform_polytope
+from sphfano.cli import main
+from sphfano.geometry import RationalPolytope, convex_hull, mat_identity, transform_polytope
 from sphfano.invariants import (
     SEMISTABLE,
     STABLE,
     UNSTABLE,
+    RelationRankDeficit,
     all_invariants,
     degree,
     dh_barycenter,
@@ -114,6 +116,23 @@ def test_picard_presentation_is_free():
     pres = picard_presentation(build("SL2sq.NdiagSL2", {}), seg(-1, 1))
     U, S, V = pres.snf_data
     assert S[0][0] == 1 and pres.free_rank == 1
+
+
+@pytest.mark.parametrize("d2", [0, 2], ids=["rank-deficient", "torsion"])
+def test_picard_guard(d2, monkeypatch, capsys):
+    # a Smith form of lower rank than the data, or with torsion, stops the
+    # invariants; the CLI reports it as an internal assertion (exit 3).  The
+    # relation matrix of toric P2 has three rows, one per ray.
+    S = ((1, 0), (0, d2), (0, 0))
+    monkeypatch.setattr(invariants, "snf", lambda A: (mat_identity(3), S, mat_identity(2)))
+    invariants._accepted.cache_clear()
+    p2 = convex_hull([(1, 0), (0, 1), (-1, -1)], 2)
+    with pytest.raises(RelationRankDeficit) as exc:
+        picard_rank(build("toric", {"n": 2}), p2)
+    assert "(-1, -1)" in str(exc.value) and f"Smith form {S}" in str(exc.value)
+    argv = ["check", "--family", "toric", "--params", "n=2", "--vertices", "(1,0);(0,1);(-1,-1)"]
+    assert main(argv) == 3
+    assert f"Smith form {S}" in capsys.readouterr().err
 
 
 def test_fano_index_examples():

@@ -110,6 +110,11 @@ ROOT_SYSTEMS = {
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)],
     ),
     "Sp4": ([[1, -1], [-1, 2]], [(1, 0), (0, 1), (1, 1), (2, 1)]),
+    "SL5": (
+        [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0),
+         (0, 1, 1, 0), (0, 0, 1, 1), (1, 1, 1, 0), (0, 1, 1, 1), (1, 1, 1, 1)],
+    ),
 }
 
 
@@ -177,6 +182,48 @@ def test_density_and_kappa_from_root_data():
         if got != expanded(data.f, data.rank):
             density_mismatches.append((spec.id, params))
     assert density_mismatches == []
+
+
+# the Levi of each rank-0 row G/P, as simple roots numbered across the
+# factors as in root_data; a row not listed is a full flag variety
+RANK0_LEVI = {
+    ("SL3", "P2"): {2},
+    ("Sp4", "Q3"): {1},
+    ("Sp4", "P3"): {2},
+    ("SL3xSL2", "P2xP1"): {2},
+    ("SL4", "P3"): {2, 3},
+    ("Sp4xSL2", "Q3xP1"): {1},
+    ("Sp4xSL2", "P3xP1"): {2},
+    ("SL4", "Q4"): {1, 3},
+    ("SL3xSL2^2", "P2xP1xP1"): {2},
+    ("SL3^2", "P2xP2"): {2, 4},
+    ("SL4xSL2", "P3xP1"): {2, 3},
+    ("SL5", "P4"): {2, 3, 4},
+}
+
+
+def test_rank0_table_from_root_data():
+    # G/P has dimension the number of positive roots outside the Levi and
+    # Picard rank the number of simple roots outside it; its anticanonical
+    # weight kappa is the sum of those roots, and the degree is dim! times
+    # the product over them of <beta^v, kappa> / <beta^v, rho> (Borel-Weil)
+    from sympy import Matrix, Rational, factorial, prod
+
+    rows = rank0_entries()
+    assert set(RANK0_LEVI) <= {(g, s) for g, s, *_ in rows}
+    for group, space, dim, pic, deg in rows:
+        gram, roots = root_data(group)
+        levi = RANK0_LEVI.get((group, space), set())
+        outer = [r for r in roots if any(c and j + 1 not in levi for j, c in enumerate(r))]
+        kappa = Matrix([sum(col) for col in zip(*outer)])
+        rho = Matrix([Rational(sum(col), 2) for col in zip(*roots)])
+
+        def coroot(beta, weight):
+            b = Matrix(beta)
+            return 2 * (b.T * gram * weight)[0] / (b.T * gram * b)[0]
+
+        degree = factorial(len(outer)) * prod(coroot(b, kappa) / coroot(b, rho) for b in outer)
+        assert (len(outer), gram.rows - len(levi), degree) == (dim, pic, deg), (group, space)
 
 
 def test_root_data_mismatches_raise(monkeypatch):
