@@ -4,12 +4,13 @@ Rank 1 is a finite check over candidate endpoint pairs.  Rank 2 is a
 depth-first walk over strictly counterclockwise vertex sequences around the
 origin, drawn from the integer points of a search box together with the
 color points.  The walk runs in integer arithmetic on a successor graph of
-the candidates, with each pairwise test made once and the half-plane tests
-as bitmasks (`_SuccessorGraph`).  The pairwise test is `edge_violation`,
-conditions C2 and C4 of `check_reflexive` on the candidates scaled to
-integers, through the same kernel, so every closed cycle is reflexive by
-construction.  Only closed cycles become polytopes; each still passes the
-reflexivity check, and one that fails raises `PairTestMismatch`.
+the candidates, with the half-plane tests as bitmasks (`_SuccessorGraph`).
+The pairwise test is `edge_violation`, conditions C2 and C4 of
+`check_reflexive` on the candidates scaled to integers, through the same
+kernel, so every closed cycle is reflexive by construction; it runs only on
+pairs with a color endpoint or determinant one, the only possible edges.
+Only closed cycles become polytopes; each still passes the reflexivity
+check, and one that fails raises `PairTestMismatch`.
 
 Where the family's group is infinite, the walk visits only normalised
 copies.  For the full unimodular group it is rooted at the edge
@@ -217,9 +218,13 @@ class _SuccessorGraph:
     points; scaling by a common positive integer preserves that order.
     `succ[i]` is the bitmask of the successors j: the origin lies strictly
     left of i -> j (cross(v_i, v_j) > 0, C1) and the edge passes
-    `edge_violation` (C2 and C4), evaluated once per ordered pair on the
-    scaled integers.  `left(i, j)` is the bitmask of the candidates strictly
-    left of the line i -> j, that is, strictly outside the edge j -> i.
+    `edge_violation` (C2 and C4) on the scaled integers, tested only where it
+    can pass: on a pair with a color endpoint or of determinant one (cross =
+    S^2, S the scale).  Two non-color candidates with cross > 0 span a cone
+    meeting the open valuation cone, so C4 fails on a color inside their
+    edge and otherwise asks for a lattice basis (Obro, arXiv:0704.0049).
+    `left(i, j)` is the bitmask of the candidates strictly left of the line
+    i -> j, that is, strictly outside the edge j -> i.
     """
 
     def __init__(self, data: CombinatorialData, cands):
@@ -228,7 +233,12 @@ class _SuccessorGraph:
         for p in self.pts:
             mask = 0
             for j, q in enumerate(self.pts):
-                if p[0] * q[1] - p[1] * q[0] > 0 and not edge_violation(data, p, q, colors, scale):
+                c = p[0] * q[1] - p[1] * q[0]
+                if (
+                    c > 0
+                    and (c == scale * scale or p in colors or q in colors)
+                    and not edge_violation(data, p, q, colors, scale)
+                ):
                     mask |= 1 << j
             self.succ.append(mask)
         self._left = {}

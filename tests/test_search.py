@@ -9,7 +9,7 @@ import pytest
 
 import sphfano.search as search
 from sphfano.cli import main
-from sphfano.core import check_reflexive
+from sphfano.core import check_reflexive, edge_violation, scale_to_ints
 from sphfano.geometry import RationalPolytope, convex_hull, transform_polytope
 from sphfano.registry import (
     FINITE,
@@ -18,6 +18,7 @@ from sphfano.registry import (
     TRIVIAL,
     SymmetryGroup,
     build,
+    families,
     symmetry_group,
 )
 from sphfano.search import (
@@ -35,6 +36,8 @@ from sphfano.search import (
 )
 
 H = F(1, 2)
+
+RANK2 = [(spec.id, params) for spec in families(rank_filter=[2]) for params in spec.params_list()]
 
 
 def classes(fid, params, cfg=None):
@@ -247,19 +250,22 @@ def test_oracle_agreement(fid, params, cfg):
 # -- box stability, symmetry soundness, determinism --------------------------------
 
 
+BOX_DOUBLING_FIRST = [
+    ("SL2xGm.T", {"a1": 1}),
+    ("SL2xGm.N.diag", {}),
+    ("SL2sq.diagB", {}),
+    ("SL2sq.PI-N.diag", {"a2": 1}),
+    ("SL2sq.TxT", {}),
+    ("toric", {"n": 2}),
+    ("SL2xGm.horo", {"n": 2, "a1": 1}),
+]
+
+
 @pytest.mark.parametrize(
-    "fid,params",
-    [
-        ("SL2xGm.T", {"a1": 1}),
-        ("SL2xGm.N.diag", {}),
-        ("SL2sq.diagB", {}),
-        ("SL2sq.PI-N.diag", {"a2": 1}),
-        ("SL2sq.TxT", {}),
-        ("toric", {"n": 2}),
-        ("SL2xGm.horo", {"n": 2, "a1": 1}),
-    ],
+    "fid,params", BOX_DOUBLING_FIRST + [x for x in RANK2 if x not in BOX_DOUBLING_FIRST]
 )
 def test_box_doubling_stability(fid, params):
+    # every rank-2 instance, the full unimodular and shear ones included
     a = classes(fid, params, cfg=EnumConfig(5, 8))
     b = classes(fid, params, cfg=EnumConfig(10, 8))
     assert vertex_sets(a) == vertex_sets(b)
@@ -310,29 +316,58 @@ def test_rank1_enumeration_is_exhaustive_over_candidates():
 
 
 @pytest.mark.parametrize(
-    "fid,params,calls,accepts,n_classes",
+    "fid,params,calls,accepts,n_classes,pair_tests",
     [
-        ("toric", {"n": 2}, 12, 12, 5),
-        ("SL2xGm.horo", {"n": 2, "a1": 1}, 23, 23, 16),
-        ("SL2sq.horo2", {"a1": 1, "a2": 0, "b2": 1}, 66, 66, 39),
+        ("toric", {"n": 2}, 12, 12, 5, 158),
+        ("SL2xGm.horo", {"n": 2, "a1": 1}, 23, 23, 16, 418),
+        ("SL2sq.horo2", {"a1": 1, "a2": 0, "b2": 1}, 66, 66, 39, 529),
     ],
 )
-def test_walk_search_shape(monkeypatch, fid, params, calls, accepts, n_classes):
-    # exact counters of the default-box walk: which closed cycles reach the
-    # reflexivity check, and how many pass; the pair tests make every closed
-    # cycle reflexive, and the full unimodular and shear instances walk
-    # normalised polygons only
+def test_walk_search_shape(monkeypatch, fid, params, calls, accepts, n_classes, pair_tests):
+    # exact counters of the default-box walk: the pair tests made (only on
+    # pairs with a color endpoint or of determinant one), which closed cycles
+    # reach the reflexivity check, and how many pass; the pair tests make
+    # every closed cycle reflexive, and the full unimodular and shear
+    # instances walk normalised polygons only
     verdicts = []
+    pairs = []
 
     def counting(data, P):
         v = check_reflexive(data, P)
         verdicts.append(v.ok)
         return v
 
+    def counting_pairs(*args):
+        pairs.append(args[1:3])
+        return edge_violation(*args)
+
     monkeypatch.setattr(search, "check_reflexive", counting)
+    monkeypatch.setattr(search, "edge_violation", counting_pairs)
     data = build(fid, params)
     found = enumerate_rank2(data, EnumConfig(), group=symmetry_group(fid, params))
     assert (len(verdicts), sum(verdicts), len(found)) == (calls, accepts, n_classes)
+    assert len(pairs) == pair_tests
+
+
+@pytest.mark.parametrize("fid,params", RANK2)
+def test_successor_masks_match_all_pairs(fid, params):
+    # the walk skips the pair test where it cannot pass; its successor masks
+    # must equal those of edge_violation on every ordered pair with the
+    # origin strictly left (C1), on the candidates the walk uses
+    data = build(fid, params)
+    cands = search._candidate_points(data, EnumConfig())
+    if symmetry_group(fid, params).kind == FULL_UNIMODULAR:
+        cands = [q for q in cands if q[0] + q[1] <= 1]
+    scale, pts, colors = scale_to_ints(data, cands)
+    masks = [
+        sum(
+            1 << j
+            for j, q in enumerate(pts)
+            if p[0] * q[1] - p[1] * q[0] > 0 and not edge_violation(data, p, q, colors, scale)
+        )
+        for p in pts
+    ]
+    assert search._SuccessorGraph(data, cands).succ == masks
 
 
 def test_closure_rejected_by_the_checker_fails_loudly(monkeypatch, capsys):
