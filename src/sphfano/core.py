@@ -217,7 +217,7 @@ def facet_violation(data: CombinatorialData, face, colors, scale: int):
                 return "C4b", "non-integral non-color vertex"
             basis.append(tuple(c // scale for c in v))
     if not is_lattice_basis(basis):
-        return "C4b", f"{basis} is not a lattice basis"
+        return "C4b", f"[{', '.join(map(vec_str, basis))}] is not a lattice basis"
     return None
 
 
@@ -271,5 +271,5 @@ def check_reflexive(data: CombinatorialData, P: RationalPolytope) -> Verdict:
     for n, _, f in fs:
         found = facet_violation(data, f, colors, scale)
         if found:
-            violations.append((found[0], f"facet {primitive(n)}: {found[1]}"))
+            violations.append((found[0], f"facet {vec_str(primitive(n))}: {found[1]}"))
     return Verdict(not violations, tuple(violations))

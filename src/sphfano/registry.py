@@ -6,7 +6,10 @@ constructor of its spherical roots, colors, M-basis, group and type) and the
 finite list of admissible parameter values.  `derive` completes the
 builder's data by kappa and the Duistermaat-Heckman density, which the
 group's root system, the colors' zeta and the M-basis fix (Brion, Duke
-Math. J. 58, 1989).  The lattice-symmetry group under which embeddings of an instance
+Math. J. 58, 1989), and by every color's m and every type-b color's rho,
+which Luna's rules fix (Publ. Math. IHES 94, 2001).  The products of a flag
+variety with a smaller space are built from the smaller space's builder
+(`_times`).  The lattice-symmetry group under which embeddings of an instance
 are considered equivalent is derived from its combinatorial data
 (`symmetry_group`): every unimodular matrix that permutes the spherical
 roots, the colors and the factors of the density, as decided by
@@ -47,7 +50,8 @@ class UnsupportedSymmetry(AssertionError):
 
 
 class RootDataMismatch(AssertionError):
-    """A coroot pairing of the root data that is not an integer."""
+    """A coroot pairing of the root data that is not an integer, or a color
+    whose simple roots give it different rho or m."""
 
 
 # symmetry group kinds
@@ -74,9 +78,12 @@ class FamilySpec:
 
     The builder maps admissible params to the keyword arguments of
     `CombinatorialData` other than `rank` and `dim`, which the row states,
-    and `f` and `kappa_expr`, which `derive` computes; it states each M-basis
+    and `f` and `kappa_expr`, which `derive` computes.  It states each M-basis
     vector as a coefficient dict over the alpha_i, w_i and x_i, which `derive`
-    writes as a label.  The static rank-0 rows have none.
+    writes as a label, and each color as its label, its zeta (the set of
+    simple roots a_i that move it) and, for a color of type a or 2a only, its
+    rho; `derive` fills in every m and the rho of every other color.  The
+    static rank-0 rows have none.
     """
 
     id: str
@@ -158,10 +165,6 @@ def rank0_entries():
 # data constructors
 
 
-def _colors(*cs) -> tuple[Color, ...]:
-    return tuple(Color(label, tuple(rho), m, frozenset(zeta)) for label, rho, m, zeta in cs)
-
-
 def _toric(p):
     n = p["n"]
     return dict(
@@ -176,7 +179,7 @@ def _toric(p):
 def _sl2_t(p):
     return dict(
         sigma=((1,),),
-        colors=_colors(("clubs", (1,), 1, {"a1"}), ("hearts", (1,), 1, {"a1"})),
+        colors=(("clubs", {"a1"}, (1,)), ("hearts", {"a1"}, (1,))),
         m_basis=({"alpha1": 1},),
         group_name="SL2",
         space_type="symmetric",
@@ -186,7 +189,7 @@ def _sl2_t(p):
 def _sl2_n(p):
     return dict(
         sigma=((1,),),
-        colors=_colors(("clubs", (2,), 1, {"a1"})),
+        colors=(("clubs", {"a1"}, (2,)),),
         m_basis=({"alpha1": 2},),
         group_name="SL2",
         space_type="symmetric",
@@ -198,25 +201,49 @@ def _sl2gm_horo(p):
     basis = ({"w1": a1, "x1": 1},) + tuple({f"x{i}": 1} for i in range(2, n + 1))
     return dict(
         sigma=(),
-        colors=_colors(("clubs", (a1,) + (0,) * (n - 1), 2, {"a1"})),
+        colors=(("clubs", {"a1"}),),
         m_basis=basis,
         group_name=f"SL2xGm^{n}" if n > 1 else "SL2xGm",
         space_type="horospherical",
     )
 
 
-def _horo(group, **m):
+def _horo(group, *roots):
     """A rank-one horospherical space of group x Gm, with params a_i: one color
-    at rho = (a_i,) with weight m[a_i] for each simple root a_i named in m."""
+    moved by each simple root a_i named in roots."""
 
     def builder(p):
-        suits = zip(("clubs", "hearts", "spades"), m)
         return dict(
             sigma=(),
-            colors=_colors(*((suit, (p[a],), m[a], {a}) for suit, a in suits)),
-            m_basis=({f"w{a[1:]}": p[a] for a in m} | {"x1": 1},),
+            colors=tuple(zip(("clubs", "hearts", "spades"), ({a} for a in roots))),
+            m_basis=({f"w{a[1:]}": p[a] for a in roots} | {"x1": 1},),
             group_name=f"{group}xGm",
             space_type="horospherical",
+        )
+
+    return builder
+
+
+def _times(factor, group, *labels):
+    """The product of a flag variety G'/P' with the space of the builder
+    `factor`, a space of `group` = G' x (the factor's group).  The simple
+    roots of G' come first, so the factor's a_i, alpha_i and w_i are
+    renumbered past them, and its a_j moves one more color, labels[j - 1],
+    at rho = 0."""
+
+    def builder(p):
+        fields = factor(p)
+        k = len(_root_data(group)[0]) - len(_root_data(fields["group_name"])[0])
+
+        def shift(sym):
+            kind = sym.rstrip("0123456789")
+            return sym if kind == "x" else f"{kind}{int(sym[len(kind):]) + k}"
+
+        return fields | dict(
+            colors=tuple((c[0], set(map(shift, c[1])), *c[2:]) for c in fields["colors"])
+            + tuple((label, {f"a{j + 1}"}) for j, label in enumerate(labels)),
+            m_basis=tuple({shift(s): c for s, c in b.items()} for b in fields["m_basis"]),
+            group_name=group,
         )
 
     return builder
@@ -225,7 +252,7 @@ def _horo(group, **m):
 def _sl2sq_diag_sl2(p):
     return dict(
         sigma=((1,),),
-        colors=_colors(("clubs", (1,), 2, {"a1", "a2"})),
+        colors=(("clubs", {"a1", "a2"}),),
         m_basis=({"w1": 1, "w2": 1},),
         group_name="SL2^2",
         space_type="symmetric",
@@ -235,7 +262,7 @@ def _sl2sq_diag_sl2(p):
 def _sl2sq_ndiag_sl2(p):
     return dict(
         sigma=((1,),),
-        colors=_colors(("clubs", (2,), 2, {"a1", "a2"})),
+        colors=(("clubs", {"a1", "a2"}),),
         m_basis=({"alpha1": 1, "alpha2": 1},),
         group_name="SL2^2",
         space_type="symmetric",
@@ -248,7 +275,7 @@ def _sl2gm_t(p):
         half = a1 // 2
         return dict(
             sigma=((1, 0),),
-            colors=_colors(("clubs", (1, half), 1, {"a1"}), ("hearts", (1, -half), 1, {"a1"})),
+            colors=(("clubs", {"a1"}, (1, half)), ("hearts", {"a1"}, (1, -half))),
             m_basis=({"alpha1": 1}, {"x1": 1}),
             group_name="SL2xGm",
             space_type="symmetric" if a1 == 0 else "typeT",
@@ -256,7 +283,7 @@ def _sl2gm_t(p):
     hi, lo = (a1 + 1) // 2, (1 - a1) // 2
     return dict(
         sigma=((1, 1),),
-        colors=_colors(("clubs", (hi, lo), 1, {"a1"}), ("hearts", (lo, hi), 1, {"a1"})),
+        colors=(("clubs", {"a1"}, (hi, lo)), ("hearts", {"a1"}, (lo, hi))),
         m_basis=({"w1": 1, "x1": 1}, {"w1": 1, "x1": -1}),
         group_name="SL2xGm",
         space_type="typeT",
@@ -266,7 +293,7 @@ def _sl2gm_t(p):
 def _sl2gm_n_product(p):
     return dict(
         sigma=((1, 0),),
-        colors=_colors(("clubs", (2, 0), 1, {"a1"})),
+        colors=(("clubs", {"a1"}, (2, 0)),),
         m_basis=({"alpha1": 2}, {"x1": 1}),
         group_name="SL2xGm",
         space_type="symmetric",
@@ -276,7 +303,7 @@ def _sl2gm_n_product(p):
 def _sl2gm_n_diag(p):
     return dict(
         sigma=((1, 1),),
-        colors=_colors(("clubs", (1, 1), 1, {"a1"})),
+        colors=(("clubs", {"a1"}, (1, 1)),),
         m_basis=({"alpha1": 1, "x1": 1}, {"alpha1": 1, "x1": -1}),
         group_name="SL2xGm",
         space_type="symmetric",
@@ -286,7 +313,7 @@ def _sl2gm_n_diag(p):
 def _sl3_sym(p):
     return dict(
         sigma=((1,),),
-        colors=_colors(("clubs", (1,), 2, {"a1"}), ("hearts", (1,), 2, {"a2"})),
+        colors=(("clubs", {"a1"}), ("hearts", {"a2"})),
         m_basis=({"alpha1": 1, "alpha2": 1},),
         group_name="SL3",
         space_type="symmetric",
@@ -296,11 +323,7 @@ def _sl3_sym(p):
 def _sl3_horosym(p):
     return dict(
         sigma=((1,),),
-        colors=_colors(
-            ("clubs", (-1,), 2, {"a1"}),
-            ("hearts", (1,), 1, {"a2"}),
-            ("diamonds", (1,), 1, {"a2"}),
-        ),
+        colors=(("clubs", {"a1"}), ("hearts", {"a2"}, (1,)), ("diamonds", {"a2"}, (1,))),
         m_basis=({"alpha2": 1},),
         group_name="SL3",
         space_type="horosymmetric",
@@ -310,7 +333,7 @@ def _sl3_horosym(p):
 def _sl3_nhorosym(p):
     return dict(
         sigma=((1,),),
-        colors=_colors(("clubs", (-2,), 2, {"a1"}), ("hearts", (2,), 1, {"a2"})),
+        colors=(("clubs", {"a1"}), ("hearts", {"a2"}, (2,))),
         m_basis=({"alpha2": 2},),
         group_name="SL3",
         space_type="horosymmetric",
@@ -320,7 +343,7 @@ def _sl3_nhorosym(p):
 def _sp4_nsym(p):
     return dict(
         sigma=((1,),),
-        colors=_colors(("clubs", (2,), 3, {"a2"})),
+        colors=(("clubs", {"a2"}),),
         m_basis=({"alpha1": 2, "alpha2": 2},),
         group_name="Sp4",
         space_type="symmetric",
@@ -330,84 +353,9 @@ def _sp4_nsym(p):
 def _sp4_sym(p):
     return dict(
         sigma=((1,),),
-        colors=_colors(("clubs", (1,), 3, {"a2"})),
+        colors=(("clubs", {"a2"}),),
         m_basis=({"alpha1": 1, "alpha2": 1},),
         group_name="Sp4",
-        space_type="symmetric",
-    )
-
-
-def _sl3sl2_qxt(p):
-    # P2 x (SL2/T): the P2 factor contributes the two constant root factors
-    return dict(
-        sigma=((1,),),
-        colors=_colors(
-            ("clubs", (1,), 1, {"a3"}),
-            ("hearts", (1,), 1, {"a3"}),
-            ("diamonds", (0,), 3, {"a1"}),
-        ),
-        m_basis=({"alpha3": 1},),
-        group_name="SL3xSL2",
-        space_type="symmetric",
-    )
-
-
-def _sl3sl2_qxnt(p):
-    return dict(
-        sigma=((1,),),
-        colors=_colors(("clubs", (2,), 1, {"a3"}), ("diamonds", (0,), 3, {"a1"})),
-        m_basis=({"alpha3": 2},),
-        group_name="SL3xSL2",
-        space_type="symmetric",
-    )
-
-
-def _sl2cube_b_diag(p):
-    # P1 x (SL2^2/diag SL2)
-    return dict(
-        sigma=((1,),),
-        colors=_colors(("clubs", (1,), 2, {"a2", "a3"}), ("diamonds", (0,), 2, {"a1"})),
-        m_basis=({"w2": 1, "w3": 1},),
-        group_name="SL2^3",
-        space_type="symmetric",
-    )
-
-
-def _sl2cube_b_ndiag(p):
-    return dict(
-        sigma=((1,),),
-        colors=_colors(("clubs", (2,), 2, {"a2", "a3"}), ("diamonds", (0,), 2, {"a1"})),
-        m_basis=({"alpha2": 1, "alpha3": 1},),
-        group_name="SL2^3",
-        space_type="symmetric",
-    )
-
-
-def _sl2cube_bbxt(p):
-    return dict(
-        sigma=((1,),),
-        colors=_colors(
-            ("clubs", (1,), 1, {"a3"}),
-            ("hearts", (1,), 1, {"a3"}),
-            ("diamonds", (0,), 2, {"a1"}),
-            ("spades", (0,), 2, {"a2"}),
-        ),
-        m_basis=({"alpha3": 1},),
-        group_name="SL2^3",
-        space_type="symmetric",
-    )
-
-
-def _sl2cube_bbxnt(p):
-    return dict(
-        sigma=((1,),),
-        colors=_colors(
-            ("clubs", (2,), 1, {"a3"}),
-            ("diamonds", (0,), 2, {"a1"}),
-            ("spades", (0,), 2, {"a2"}),
-        ),
-        m_basis=({"alpha3": 2},),
-        group_name="SL2^3",
         space_type="symmetric",
     )
 
@@ -415,7 +363,7 @@ def _sl2cube_bbxnt(p):
 def _sl2sqgm_diag_sl2(p):
     return dict(
         sigma=((1, 0),),
-        colors=_colors(("clubs", (1, 0), 2, {"a1", "a2"})),
+        colors=(("clubs", {"a1", "a2"}),),
         m_basis=({"w1": 1, "w2": 1}, {"x1": 1}),
         group_name="SL2^2xGm",
         space_type="group-compactification",
@@ -425,7 +373,7 @@ def _sl2sqgm_diag_sl2(p):
 def _sl2sqgm_ndiag_sl2(p):
     return dict(
         sigma=((1, 0),),
-        colors=_colors(("clubs", (2, 0), 2, {"a1", "a2"})),
+        colors=(("clubs", {"a1", "a2"}),),
         m_basis=({"alpha1": 1, "alpha2": 1}, {"x1": 1}),
         group_name="SL2^2xGm",
         space_type="group-compactification",
@@ -435,7 +383,7 @@ def _sl2sqgm_ndiag_sl2(p):
 def _sl2sq_gl2(p):
     return dict(
         sigma=((1, 1),),
-        colors=_colors(("clubs", (1, 1), 2, {"a1", "a2"})),
+        colors=(("clubs", {"a1", "a2"}),),
         m_basis=({"w1": 1, "w2": 1, "x1": 1}, {"w1": 1, "w2": 1, "x1": -1}),
         group_name="SL2^2xGm",
         space_type="group-compactification",
@@ -445,10 +393,10 @@ def _sl2sq_gl2(p):
 def _sl2sq_diag_b(p):
     return dict(
         sigma=((1, 1), (1, -1)),
-        colors=_colors(
-            ("clubs", (0, 1), 1, {"a1"}),
-            ("hearts", (1, 0), 1, {"a1", "a2"}),
-            ("diamonds", (0, -1), 1, {"a2"}),
+        colors=(
+            ("clubs", {"a1"}, (0, 1)),
+            ("hearts", {"a1", "a2"}, (1, 0)),
+            ("diamonds", {"a2"}, (0, -1)),
         ),
         m_basis=({"w1": 1, "w2": 1}, {"w1": 1, "w2": -1}),
         group_name="SL2^2",
@@ -459,10 +407,10 @@ def _sl2sq_diag_b(p):
 def _sl2sq_ndiag_b(p):
     return dict(
         sigma=((1, 0), (0, 1)),
-        colors=_colors(
-            ("clubs", (1, -1), 1, {"a1"}),
-            ("hearts", (1, 1), 1, {"a1", "a2"}),
-            ("diamonds", (-1, 1), 1, {"a2"}),
+        colors=(
+            ("clubs", {"a1"}, (1, -1)),
+            ("hearts", {"a1", "a2"}, (1, 1)),
+            ("diamonds", {"a2"}, (-1, 1)),
         ),
         m_basis=({"alpha1": 1}, {"alpha2": 1}),
         group_name="SL2^2",
@@ -473,11 +421,11 @@ def _sl2sq_ndiag_b(p):
 def _sl2sq_txt(p):
     return dict(
         sigma=((1, 0), (0, 1)),
-        colors=_colors(
-            ("clubs", (1, 0), 1, {"a1"}),
-            ("hearts", (1, 0), 1, {"a1"}),
-            ("spades", (0, 1), 1, {"a2"}),
-            ("diamonds", (0, 1), 1, {"a2"}),
+        colors=(
+            ("clubs", {"a1"}, (1, 0)),
+            ("hearts", {"a1"}, (1, 0)),
+            ("spades", {"a2"}, (0, 1)),
+            ("diamonds", {"a2"}, (0, 1)),
         ),
         m_basis=({"alpha1": 1}, {"alpha2": 1}),
         group_name="SL2^2",
@@ -488,10 +436,10 @@ def _sl2sq_txt(p):
 def _sl2sq_ntxt(p):
     return dict(
         sigma=((1, 0), (0, 1)),
-        colors=_colors(
-            ("clubs", (2, 0), 1, {"a1"}),
-            ("spades", (0, 1), 1, {"a2"}),
-            ("diamonds", (0, 1), 1, {"a2"}),
+        colors=(
+            ("clubs", {"a1"}, (2, 0)),
+            ("spades", {"a2"}, (0, 1)),
+            ("diamonds", {"a2"}, (0, 1)),
         ),
         m_basis=({"alpha1": 2}, {"alpha2": 1}),
         group_name="SL2^2",
@@ -502,7 +450,7 @@ def _sl2sq_ntxt(p):
 def _sl2sq_ntxnt(p):
     return dict(
         sigma=((1, 0), (0, 1)),
-        colors=_colors(("clubs", (2, 0), 1, {"a1"}), ("spades", (0, 2), 1, {"a2"})),
+        colors=(("clubs", {"a1"}, (2, 0)), ("spades", {"a2"}, (0, 2))),
         m_basis=({"alpha1": 2}, {"alpha2": 2}),
         group_name="SL2^2",
         space_type="symmetric",
@@ -512,7 +460,7 @@ def _sl2sq_ntxnt(p):
 def _sl2sq_diag_nt(p):
     return dict(
         sigma=((1, 1), (1, -1)),
-        colors=_colors(("clubs", (1, 1), 1, {"a1"}), ("spades", (1, -1), 1, {"a2"})),
+        colors=(("clubs", {"a1"}, (1, 1)), ("spades", {"a2"}, (1, -1))),
         m_basis=({"alpha1": 1, "alpha2": 1}, {"alpha1": 1, "alpha2": -1}),
         group_name="SL2^2",
         space_type="symmetric",
@@ -525,10 +473,8 @@ def _sl2sq_pi_t(p):
         half = a1 // 2
         return dict(
             sigma=((1, 0),),
-            colors=_colors(
-                ("clubs", (1, half), 1, {"a1"}),
-                ("hearts", (1, -half), 1, {"a1"}),
-                ("diamonds", (0, a2), 2, {"a2"}),
+            colors=(
+                ("clubs", {"a1"}, (1, half)), ("hearts", {"a1"}, (1, -half)), ("diamonds", {"a2"})
             ),
             m_basis=({"alpha1": 1}, {"w2": a2, "x1": 1}),
             group_name="SL2^2xGm",
@@ -537,11 +483,7 @@ def _sl2sq_pi_t(p):
     hi, lo = (a1 + 1) // 2, (1 - a1) // 2
     return dict(
         sigma=((1, 1),),
-        colors=_colors(
-            ("clubs", (hi, lo), 1, {"a1"}),
-            ("hearts", (lo, hi), 1, {"a1"}),
-            ("diamonds", (a2, -a2), 2, {"a2"}),
-        ),
+        colors=(("clubs", {"a1"}, (hi, lo)), ("hearts", {"a1"}, (lo, hi)), ("diamonds", {"a2"})),
         m_basis=({"w1": 1, "w2": a2, "x1": 1}, {"w1": 1, "w2": -a2, "x1": -1}),
         group_name="SL2^2xGm",
         space_type="typeT",
@@ -552,7 +494,7 @@ def _sl2sq_pi_n_product(p):
     a2 = p["a2"]
     return dict(
         sigma=((1, 0),),
-        colors=_colors(("clubs", (2, 0), 1, {"a1"}), ("diamonds", (0, a2), 2, {"a2"})),
+        colors=(("clubs", {"a1"}, (2, 0)), ("diamonds", {"a2"})),
         m_basis=({"alpha1": 2}, {"w2": a2, "x1": 1}),
         group_name="SL2^2xGm",
         space_type="typeN",
@@ -563,7 +505,7 @@ def _sl2sq_pi_n_diag(p):
     a2 = p["a2"]
     return dict(
         sigma=((1, 1),),
-        colors=_colors(("clubs", (1, 1), 1, {"a1"}), ("diamonds", (a2, -a2), 2, {"a2"})),
+        colors=(("clubs", {"a1"}, (1, 1)), ("diamonds", {"a2"})),
         m_basis=({"alpha1": 1, "w2": a2, "x1": 1}, {"alpha1": 1, "w2": -a2, "x1": -1}),
         group_name="SL2^2xGm",
         space_type="typeN",
@@ -574,7 +516,7 @@ def _sl2sq_horo2(p):
     a1, a2, b2 = p["a1"], p["a2"], p["b2"]
     return dict(
         sigma=(),
-        colors=_colors(("clubs", (a1, 0), 2, {"a1"}), ("hearts", (a2, b2), 2, {"a2"})),
+        colors=(("clubs", {"a1"}), ("hearts", {"a2"})),
         m_basis=({"w1": a1, "w2": a2, "x1": 1}, {"w2": b2, "x2": 1}),
         group_name="SL2^2xGm^2",
         space_type="horospherical",
@@ -585,7 +527,7 @@ def _sl3_horo2(p):
     a1 = p["a1"]
     return dict(
         sigma=(),
-        colors=_colors(("clubs", (a1, 0), 3, {"a1"})),
+        colors=(("clubs", {"a1"}),),
         m_basis=({"w1": a1, "x1": 1}, {"x2": 1}),
         group_name="SL3xGm^2",
         space_type="horospherical",
@@ -623,7 +565,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "SL2sq.horo1",
         3,
         1,
-        _horo("SL2^2", a1=2, a2=2),
+        _horo("SL2^2", "a1", "a2"),
         "a1 >= |a2|, both in {-1, 0, 1}",  # |ai| >= 2 excluded by the color conditions
         _pb({"a1": 0, "a2": 0}, {"a1": 1, "a2": 0}, {"a1": 1, "a2": 1}, {"a1": 1, "a2": -1}),
         product_note="a2=0: product of P1 with a rank-one horospherical SL2xGm space",
@@ -632,7 +574,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "SL3.horo.Q",
         3,
         1,
-        _horo("SL3", a1=3),
+        _horo("SL3", "a1"),
         "a1 in {0, 1, 2}",  # a1/3 interior forces a1 <= 2; vertex forces a1 = 1
         _pb({"a1": 0}, {"a1": 1}, {"a1": 2}),
         product_note="a1=0: product P2 x Gm",
@@ -668,7 +610,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "SL3.horo.B",
         4,
         1,
-        _horo("SL3", a1=2, a2=2),
+        _horo("SL3", "a1", "a2"),
         "a1 >= |a2|, both in {-1, 0, 1}",
         _pb({"a1": 0, "a2": 0}, {"a1": 1, "a2": 0}, {"a1": 1, "a2": 1}, {"a1": 1, "a2": -1}),
         product_note="(0,0): product W x P1",
@@ -676,34 +618,34 @@ FAMILY_ROWS: list[FamilySpec] = [
     FamilySpec("Sp4.Nsym", 4, 1, _sp4_nsym, "no parameters", _pb({})),
     FamilySpec("Sp4.sym", 4, 1, _sp4_sym, "no parameters", _pb({})),
     FamilySpec(
-        "SL3xSL2.QxT", 4, 1, _sl3sl2_qxt, "no parameters", _pb({}),
-        product_note="P2 x (SL2/T)",
+        "SL3xSL2.QxT", 4, 1, _times(_sl2_t, "SL3xSL2", "diamonds"), "no parameters",
+        _pb({}), product_note="P2 x (SL2/T)",
     ),
     FamilySpec(
-        "SL3xSL2.QxNT", 4, 1, _sl3sl2_qxnt, "no parameters", _pb({}),
-        product_note="P2 x (SL2/N(T))",
+        "SL3xSL2.QxNT", 4, 1, _times(_sl2_n, "SL3xSL2", "diamonds"), "no parameters",
+        _pb({}), product_note="P2 x (SL2/N(T))",
     ),
     FamilySpec(
-        "SL2cube.BdiagSL2", 4, 1, _sl2cube_b_diag, "no parameters", _pb({}),
-        product_note="P1 x Q3",
+        "SL2cube.BdiagSL2", 4, 1, _times(_sl2sq_diag_sl2, "SL2^3", "diamonds"), "no parameters",
+        _pb({}), product_note="P1 x Q3",
     ),
     FamilySpec(
-        "SL2cube.BNdiagSL2", 4, 1, _sl2cube_b_ndiag, "no parameters", _pb({}),
-        product_note="P1 x P3",
+        "SL2cube.BNdiagSL2", 4, 1, _times(_sl2sq_ndiag_sl2, "SL2^3", "diamonds"), "no parameters",
+        _pb({}), product_note="P1 x P3",
     ),
     FamilySpec(
-        "SL2cube.BBxT", 4, 1, _sl2cube_bbxt, "no parameters", _pb({}),
-        product_note="P1 x P1 x (SL2/T)",
+        "SL2cube.BBxT", 4, 1, _times(_sl2_t, "SL2^3", "diamonds", "spades"), "no parameters",
+        _pb({}), product_note="P1 x P1 x (SL2/T)",
     ),
     FamilySpec(
-        "SL2cube.BBxNT", 4, 1, _sl2cube_bbxnt, "no parameters", _pb({}),
-        product_note="P1 x P1 x (SL2/N(T))",
+        "SL2cube.BBxNT", 4, 1, _times(_sl2_n, "SL2^3", "diamonds", "spades"), "no parameters",
+        _pb({}), product_note="P1 x P1 x (SL2/N(T))",
     ),
     FamilySpec(
         "SL2cube.horo",
         4,
         1,
-        _horo("SL2^3", a1=2, a2=2, a3=2),
+        _horo("SL2^3", "a1", "a2", "a3"),
         "a1 >= |a2| >= |a3| in {-1, 0, 1}, signs up to a global flip",
         # (1,-1,-1) is the same subgroup as (1,1,-1) after replacing chi by -chi
         # and permuting the factors, so it is not listed separately.
@@ -721,7 +663,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "SL3xSL2.horo",
         4,
         1,
-        _horo("SL3xSL2", a1=3, a3=2),
+        _horo("SL3xSL2", "a1", "a3"),
         "a1 in {0, 1, 2}; a3 in {-1, 0, 1}, a3 >= 0 when a1 = 0",
         _pb(
             {"a1": 0, "a3": 0},
@@ -739,7 +681,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "Sp4.horo.short",
         4,
         1,
-        _horo("Sp4", a1=4),
+        _horo("Sp4", "a1"),
         "a1 in {0, 1, 2, 3}",  # m = 4 allows a1/4 interior up to a1 = 3
         _pb({"a1": 0}, {"a1": 1}, {"a1": 2}, {"a1": 3}),
         product_note="a1=0: P3 x P1",
@@ -748,7 +690,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "Sp4.horo.long",
         4,
         1,
-        _horo("Sp4", a2=3),
+        _horo("Sp4", "a2"),
         "a2 in {0, 1, 2}",
         _pb({"a2": 0}, {"a2": 1}, {"a2": 2}),
         product_note="a2=0: Q3 x P1",
@@ -757,7 +699,7 @@ FAMILY_ROWS: list[FamilySpec] = [
         "SL4.horo",
         4,
         1,
-        _horo("SL4", a1=4),
+        _horo("SL4", "a1"),
         "a1 in {0, 1, 2, 3}",
         _pb({"a1": 0}, {"a1": 1}, {"a1": 2}, {"a1": 3}),
         product_note="a1=0: P3 x P1",
@@ -912,25 +854,28 @@ def derive(spec: FamilySpec, params: dict) -> CombinatorialData:
     """The builder's data at params, completed from the root system by
     `_root_terms`; params are not checked against the bound."""
     fields = spec.builder(params)
-    f, kappa_expr, fields["m_basis"] = _root_terms(spec, params_key(params))
+    f, kappa_expr, fields["m_basis"], fields["colors"] = _root_terms(spec, params_key(params))
     return CombinatorialData(spec.rank, spec.dim, f=f, kappa_expr=kappa_expr, **fields)
 
 
 @cache
 def _root_terms(spec: FamilySpec, key: tuple) -> tuple:
-    """The density, kappa and the basis labels of one instance, memoised, so
-    that a repeated `build` costs the builder call alone.
+    """The density, kappa, the basis labels and the colors of one instance,
+    memoised, so that a repeated `build` costs the builder call alone.
 
     kappa is the sum of the positive roots beta outside the Levi, whose
     simple roots lie in no color's zeta.  The density is the product over
     those roots of <beta^v, kappa + x> / <beta^v, rho> with x = sum u_i m_i:
     one factor per root in table order, equal factors merged into one with a
-    multiplicity.
+    multiplicity.  A color with a stated rho (type a or 2a) has m = 1; any
+    other (type b) has rho = alpha^v|_M and m = <kappa, alpha^v> for each
+    simple root alpha that moves it (Luna, Publ. Math. IHES 94, 2001;
+    Gagliardi-Hofscheier, arXiv:1404.2785).
     """
     params = dict(key)
     fields = spec.builder(params)
     gram, roots = _root_data(fields["group_name"])
-    zeta = set().union(*(c.zeta for c in fields["colors"]))
+    zeta = set().union(*(c[1] for c in fields["colors"]))
     outer = [b for b in roots if any(c and f"a{j + 1}" in zeta for j, c in enumerate(b))]
     kappa = [sum(col) for col in zip(*outer)]
     kappa_products = [2 * sum(k * g for k, g in zip(kappa, row)) for row in gram]
@@ -944,13 +889,24 @@ def _root_terms(spec: FamilySpec, key: tuple) -> tuple:
             raise RootDataMismatch(f"{spec.id} {params}: a pairing with {beta}^v is not integral")
         return q
 
+    def color(label, moved_by, rho=None):
+        if rho is not None:
+            return Color(label, rho, 1, frozenset(moved_by))
+        simple = [tuple(int(j == int(a[1:]) - 1) for j in range(len(gram))) for a in moved_by]
+        found = {(tuple(coroot(e, m) for m in m_products), coroot(e, kappa_products)) for e in simple}
+        if len(found) != 1:
+            raise RootDataMismatch(f"{spec.id} {params}: the roots moving {label} restrict differently")
+        ((rho, m),) = found
+        return Color(label, rho, m, frozenset(moved_by))
+
+    colors = tuple(color(*c) for c in fields["colors"])
     denominator, factors = 1, Counter()
     for beta in outer:
         denominator *= coroot(beta, [row[j] for j, row in enumerate(gram)])  # rho = sum w_j
         factors[coroot(beta, kappa_products), tuple(coroot(beta, m) for m in m_products)] += 1
     f = dh(Fraction(1, denominator), *((c, lin, k) for (c, lin), k in factors.items()))
     kappa_expr = _basis_str({f"alpha{j + 1}": k for j, k in enumerate(kappa)})
-    return f, kappa_expr, tuple(map(_basis_str, fields["m_basis"]))
+    return f, kappa_expr, tuple(map(_basis_str, fields["m_basis"])), colors
 
 
 def build(fid: str, params: dict | None = None) -> CombinatorialData:

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
@@ -226,6 +227,156 @@ def test_rank0_table_from_root_data():
         assert (len(outer), gram.rows - len(levi), degree) == (dim, pic, deg), (group, space)
 
 
+def coroot_key(expr, gram) -> tuple:
+    """A weight by its pairings <lambda, alpha_j^v> with the simple coroots
+    and its x-part, so that equal weights written differently (alpha1 = 2w1
+    in SL2) compare equal."""
+    from sympy import Symbol
+
+    n = gram.rows
+    pairings = tuple(
+        sum(expr.coeff(Symbol(f"alpha{i + 1}")) * 2 * gram[i, j] / gram[j, j] for i in range(n))
+        + expr.coeff(Symbol(f"w{j + 1}"))
+        for j in range(n)
+    )
+    xs = {s.name: expr.coeff(s) for s in expr.free_symbols if s.name.startswith("x")}
+    return pairings, frozenset((s, c) for s, c in xs.items() if c)
+
+
+def test_colors_follow_luna_rules():
+    """Every color against Luna's rules (Publ. Math. IHES 94, 2001) for the
+    simple roots alpha that move it, on the test's own root systems.
+
+    Type a (alpha in Sigma): two colors D+-, rho(D+) + rho(D-) = alpha^v|_M,
+    <rho(D+-), alpha> = 1 and m = 1.  Type 2a (2 alpha in Sigma): one color,
+    rho = alpha^v|_M / 2 and m = 1.  Type b (otherwise): one color,
+    rho = alpha^v|_M and m = <2 rho_G - 2 rho_{S^p}, alpha^v>, S^p the simple
+    roots that move no color (Gagliardi-Hofscheier, arXiv:1404.2785).
+    """
+    from sympy import Symbol
+
+    checked = Counter()
+    for spec, params in all_instances():
+        data = build(spec.id, params)
+        gram, roots = root_data(data.group_name)
+        n = gram.rows
+        alphas = [Symbol(f"alpha{j + 1}") for j in range(n)]
+        ms = [weight(m) for m in data.m_basis]
+        sigma = [(s, coroot_key(sum(c * m for c, m in zip(s, ms)), gram)) for s in data.sigma]
+        moving = set().union(*(c.zeta for c in data.colors))
+        # 2 rho_G - 2 rho_{S^p}: the positive roots minus those of the Levi of S^p
+        levi = [r for r in roots if not any(c and f"a{j + 1}" in moving for j, c in enumerate(r))]
+        kappa = sum(c * a for r in roots for c, a in zip(r, alphas))
+        kappa -= sum(c * a for r in levi for c, a in zip(r, alphas))
+        where = (spec.id, params)
+        for j in sorted(moving):
+            i = int(j[1:]) - 1
+            alpha = coroot_key(alphas[i], gram)
+            restriction = tuple(coroot_key(m, gram)[0][i] for m in ms)
+            colors = [c for c in data.colors if j in c.zeta]
+            type_a = [s for s, key in sigma if key == alpha]
+            doubled = (tuple(2 * p for p in alpha[0]), alpha[1])
+            if type_a:
+                plus, minus = colors  # exactly two colors
+                assert tuple(a + b for a, b in zip(plus.rho, minus.rho)) == restriction, where
+                for c in colors:
+                    assert sum(r * s for r, s in zip(c.rho, type_a[0])) == 1, where
+                    assert c.m == 1, where
+                checked["a"] += 2
+            elif any(key == doubled for _, key in sigma):
+                (c,) = colors
+                assert tuple(2 * r for r in c.rho) == restriction and c.m == 1, where
+                checked["2a"] += 1
+            else:
+                (c,) = colors
+                assert c.rho == restriction, where
+                assert c.m == coroot_key(kappa, gram)[0][i], where
+                checked["b"] += 1
+    # root-color incidences of each type
+    assert checked == {"a": 40, "2a": 15, "b": 121}
+
+
+def flag_invariants(group, space) -> tuple:
+    """(dim, pic, degree, Fano index) of the rank-0 row G/P; the index is the
+    gcd of <kappa, alpha^v> over the simple roots alpha outside the Levi."""
+    from sympy import Matrix, gcd
+
+    ((dim, pic, deg),) = [(d, p, g) for gr, s, d, p, g in rank0_entries() if (gr, s) == (group, space)]
+    gram, roots = root_data(group)
+    levi = RANK0_LEVI.get((group, space), set())
+    outer = [r for r in roots if any(c and j + 1 not in levi for j, c in enumerate(r))]
+    doubled = gram * Matrix([sum(col) for col in zip(*outer)])  # 2 (alpha_j, kappa) / 2
+    pairings = [2 * doubled[j] / gram[j, j] for j in range(gram.rows) if j + 1 not in levi]
+    return dim, pic, deg, int(gcd(pairings))
+
+
+# each product instance with a flag-variety factor G'/P': (family, params) ->
+# (the flag's rank-0 row, the other factor's family and params)
+FLAG_PRODUCTS = {
+    ("SL3xSL2.QxT", ()): (("SL3", "P2"), "SL2.T", ()),
+    ("SL3xSL2.QxNT", ()): (("SL3", "P2"), "SL2.N", ()),
+    ("SL2cube.BdiagSL2", ()): (("SL2", "P1"), "SL2sq.diagSL2", ()),
+    ("SL2cube.BNdiagSL2", ()): (("SL2", "P1"), "SL2sq.NdiagSL2", ()),
+    ("SL2cube.BBxT", ()): (("SL2^2", "P1xP1"), "SL2.T", ()),
+    ("SL2cube.BBxNT", ()): (("SL2^2", "P1xP1"), "SL2.N", ()),
+    ("SL2xGm.horo", (("a1", 0), ("n", 1))): (("SL2", "P1"), "toric", (("n", 1),)),
+    ("SL2xGm.horo", (("a1", 0), ("n", 2))): (("SL2", "P1"), "toric", (("n", 2),)),
+    ("SL3.horo.Q", (("a1", 0),)): (("SL3", "P2"), "toric", (("n", 1),)),
+    ("SL3.horo2", (("a1", 0),)): (("SL3", "P2"), "toric", (("n", 2),)),
+    ("SL3.horo.B", (("a1", 0), ("a2", 0))): (("SL3", "W"), "toric", (("n", 1),)),
+    ("Sp4.horo.short", (("a1", 0),)): (("Sp4", "P3"), "toric", (("n", 1),)),
+    ("Sp4.horo.long", (("a2", 0),)): (("Sp4", "Q3"), "toric", (("n", 1),)),
+    ("SL4.horo", (("a1", 0),)): (("SL4", "P3"), "toric", (("n", 1),)),
+    ("SL2sq.PI-N.product", (("a2", 0),)): (("SL2", "P1"), "SL2xGm.N.product", ()),
+    ("SL2sq.PI-N.diag", (("a2", 0),)): (("SL2", "P1"), "SL2xGm.N.diag", ()),
+}
+# where the parameter of one SL2 or SL3 factor's color is 0, that factor's
+# flag splits off: P1 (P2 for SL3xSL2.horo a1=0) times the other factors' space
+for a1 in (0, 1):
+    FLAG_PRODUCTS[("SL2sq.horo1", (("a1", a1), ("a2", 0)))] = (
+        ("SL2", "P1"), "SL2xGm.horo", (("a1", a1), ("n", 1)),
+    )
+    FLAG_PRODUCTS[("SL2sq.horo2", (("a1", a1), ("a2", 0), ("b2", 0)))] = (
+        ("SL2", "P1"), "SL2xGm.horo", (("a1", a1), ("n", 2)),
+    )
+    FLAG_PRODUCTS[("SL3xSL2.horo", (("a1", 0), ("a3", a1)))] = (
+        ("SL3", "P2"), "SL2xGm.horo", (("a1", a1), ("n", 1)),
+    )
+for a1, a2 in ((0, 0), (1, 0), (1, 1), (1, -1)):
+    FLAG_PRODUCTS[("SL2cube.horo", (("a1", a1), ("a2", a2), ("a3", 0)))] = (
+        ("SL2", "P1"), "SL2sq.horo1", (("a1", a1), ("a2", a2)),
+    )
+for a1 in (1, 2):
+    FLAG_PRODUCTS[("SL3xSL2.horo", (("a1", a1), ("a3", 0)))] = (
+        ("SL2", "P1"), "SL3.horo.Q", (("a1", a1),),
+    )
+for a1 in (0, 1, 2):
+    FLAG_PRODUCTS[("SL2sq.PI-T", (("a1", a1), ("a2", 0)))] = (
+        ("SL2", "P1"), "SL2xGm.T", (("a1", a1),),
+    )
+
+
+def test_products_with_a_flag_factor(full_catalog):
+    """Every embedding of G'/P' x Y is G'/P' x (an embedding of Y): pic adds,
+    the degree is C(m+n, m) deg deg', the Fano index is the gcd of the two and
+    the KE verdict is Y's, G'/P' being Kahler-Einstein.  Products of two
+    positive-rank spaces, such as `SL2xGm.T` a1=0, are left out: not every
+    embedding of such a product is a product of embeddings."""
+    from math import comb, gcd
+
+    records = {}
+    for r in full_catalog.records:
+        records.setdefault((r.family, r.params), []).append(r)
+    for instance, (flag, *factor) in FLAG_PRODUCTS.items():
+        dim, pic, deg, index = flag_invariants(*flag)
+        expected = Counter(
+            (pic + r.pic, comb(dim + r.dim, dim) * deg * r.degree, gcd(index, r.fano_index), r.ke)
+            for r in records[tuple(factor)]
+        )
+        got = Counter((r.pic, r.degree, r.fano_index, r.ke) for r in records[instance])
+        assert got == expected, instance
+
+
 def test_root_data_mismatches_raise(monkeypatch):
     import sphfano.registry as R
 
@@ -235,6 +386,25 @@ def test_root_data_mismatches_raise(monkeypatch):
     monkeypatch.setitem(ROOT_TABLE, "SL3", (((2, -1), (-1, 4)), ROOT_TABLE["SL3"][1]))
     R._root_terms.cache_clear()
     with pytest.raises(RootDataMismatch, match="not integral"):
+        derive(spec, {})
+
+
+def test_type_b_colors_whose_roots_disagree_raise():
+    # one color moved by both simple roots of SL2^2 on M = Z alpha1, where
+    # <alpha1, alpha1^v> = 2 but <alpha1, alpha2^v> = 0
+    from sphfano.registry import FamilySpec
+
+    def builder(p):
+        return dict(
+            sigma=((1,),),
+            colors=(("clubs", {"a1", "a2"}),),
+            m_basis=({"alpha1": 1},),
+            group_name="SL2^2",
+            space_type="symmetric",
+        )
+
+    spec = FamilySpec("disagreeing", 3, 1, builder, "no parameters", ((),))
+    with pytest.raises(RootDataMismatch, match="restrict differently"):
         derive(spec, {})
 
 
